@@ -1,5 +1,6 @@
 #include "axc/accel/sad.hpp"
 
+#include <array>
 #include <bit>
 
 #include "axc/common/bits.hpp"
@@ -25,6 +26,8 @@ std::string SadConfig::name() const {
 namespace {
 
 constexpr unsigned kPixelBits = 8;
+constexpr unsigned kMaxBlockPixels = 4096;
+constexpr unsigned kMaxTreeLevels = std::countr_zero(kMaxBlockPixels);
 
 unsigned tree_levels(unsigned block_pixels) {
   return static_cast<unsigned>(std::bit_width(block_pixels) - 1);
@@ -37,7 +40,8 @@ SadAccelerator::SadAccelerator(const SadConfig& config)
       subtractor_(RippleAdder::lsb_approximated(
           kPixelBits, config.cell,
           std::min(config.approx_lsbs, kPixelBits))) {
-  require(config.block_pixels >= 2 && config.block_pixels <= 4096 &&
+  require(config.block_pixels >= 2 &&
+              config.block_pixels <= kMaxBlockPixels &&
               std::has_single_bit(config.block_pixels),
           "SadAccelerator: block_pixels must be a power of two in [2, 4096]");
   // Tree level i sums (block_pixels >> (i+1)) pairs of (8+i)-bit values.
@@ -54,19 +58,23 @@ std::uint64_t SadAccelerator::sad(std::span<const std::uint8_t> a,
                                   std::span<const std::uint8_t> b) const {
   require(a.size() == config_.block_pixels && b.size() == a.size(),
           "SadAccelerator::sad: block size mismatch");
-  std::vector<std::uint64_t> values(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    values[i] = arith::abs_diff_via(subtractor_, a[i], b[i]);
-  }
   // Binary reduction; level adders carry one extra output bit per level.
-  for (const RippleAdder& adder : tree_adders_) {
-    const std::size_t half = values.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      values[i] = adder.add(values[2 * i], values[2 * i + 1], 0);
+  // It keeps one pending left operand per level, like a binary counter
+  // over the pixels: every tree node is the same add of the same two
+  // operands as in a level-by-level reduction, without a per-candidate
+  // allocation and without a shared work buffer (the encoder's threads
+  // share one accelerator).
+  std::array<std::uint64_t, kMaxTreeLevels + 1> pending{};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    std::uint64_t value = arith::abs_diff_via(subtractor_, a[i], b[i]);
+    unsigned level = 0;
+    // Pixel i completes one node per trailing 1 bit of its index.
+    for (std::size_t index = i; (index & 1u) != 0; index >>= 1, ++level) {
+      value = tree_adders_[level].add(pending[level], value, 0);
     }
-    values.resize(half);
+    pending[level] = value;
   }
-  return values.front();
+  return pending[tree_adders_.size()];
 }
 
 bool SadAccelerator::is_exact() const {

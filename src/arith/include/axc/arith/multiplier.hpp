@@ -78,12 +78,15 @@ class ApproxMultiplier {
  private:
   std::uint64_t multiply_rec(unsigned w, std::uint64_t a, std::uint64_t b,
                              unsigned significance) const;
+  std::pair<unsigned, unsigned> adder_key(unsigned w,
+                                          unsigned significance) const;
+  void build_adders(unsigned w, unsigned significance);
   const Adder& adder_for(unsigned w, unsigned significance) const;
 
   MultiplierConfig config_;
-  /// Keyed by (width, clamped significance); see adder_for().
-  mutable std::map<std::pair<unsigned, unsigned>, std::unique_ptr<Adder>>
-      adders_;
+  /// Keyed by (width, clamped significance); filled once by the
+  /// constructor, read-only afterwards.
+  std::map<std::pair<unsigned, unsigned>, std::unique_ptr<Adder>> adders_;
 };
 
 /// Exact reference product of the low \p width bits of a and b.

@@ -27,9 +27,11 @@ std::vector<GeArConfig> enumerate_gear_configs(unsigned n, unsigned min_p,
 
 GeArAdder::GeArAdder(GeArConfig config, unsigned correction_iterations)
     : config_(config), correction_iterations_(correction_iterations) {
-  require(config.is_valid(),
-          config.name() + ": invalid configuration (need R >= 1, "
-                          "R + P <= N, (N - L) divisible by R)");
+  if (!config.is_valid()) {
+    throw std::invalid_argument(
+        config.name() + ": invalid configuration (need R >= 1, "
+                        "R + P <= N, (N - L) divisible by R)");
+  }
 }
 
 std::uint64_t GeArAdder::add_once(std::uint64_t a, std::uint64_t b,

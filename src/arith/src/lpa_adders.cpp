@@ -7,10 +7,14 @@ namespace axc::arith {
 namespace {
 
 void check_shape(unsigned width, unsigned lsbs, const char* what) {
-  require(width >= 1 && width <= 63,
-          std::string(what) + ": width must be in [1, 63]");
-  require(lsbs <= width,
-          std::string(what) + ": approximate part exceeds the width");
+  if (width < 1 || width > 63) {
+    throw std::invalid_argument(std::string(what) +
+                                ": width must be in [1, 63]");
+  }
+  if (lsbs > width) {
+    throw std::invalid_argument(std::string(what) +
+                                ": approximate part exceeds the width");
+  }
 }
 
 }  // namespace

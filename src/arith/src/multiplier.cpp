@@ -1,6 +1,7 @@
 #include "axc/arith/multiplier.hpp"
 
 #include <bit>
+#include <cassert>
 
 #include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
@@ -45,32 +46,51 @@ ApproxMultiplier::ApproxMultiplier(MultiplierConfig config)
           std::to_string(config_.approx_lsbs);
     }
   }
+  build_adders(config_.width, 0);
 }
 
-const Adder& ApproxMultiplier::adder_for(unsigned w,
-                                         unsigned significance) const {
+std::pair<unsigned, unsigned> ApproxMultiplier::adder_key(
+    unsigned w, unsigned significance) const {
   // Adders whose whole span lies above the approximate region are
   // identical regardless of exact significance: clamp the key so they
   // share one instance.
-  const unsigned clamped = std::min(significance, config_.approx_lsbs);
-  const auto key = std::make_pair(w, clamped);
-  auto it = adders_.find(key);
-  if (it == adders_.end()) {
+  return {w, std::min(significance, config_.approx_lsbs)};
+}
+
+void ApproxMultiplier::build_adders(unsigned w, unsigned significance) {
+  // Walks multiply_rec()'s recursion in its order of first use, so that
+  // multiply() only reads adders_ and may run on many threads at once.
+  if (w == 2) return;
+  const unsigned half = w / 2;
+  build_adders(half, significance);
+  build_adders(half, significance + half);
+  build_adders(half, significance + w);
+  for (const unsigned width : {w, 2 * w - half}) {
+    const auto key = adder_key(width, significance + half);
+    if (adders_.contains(key)) continue;
+    const unsigned clamped = key.second;
     std::unique_ptr<Adder> adder;
     if (config_.adder_factory) {
-      adder = config_.adder_factory(w, clamped);
+      adder = config_.adder_factory(width, clamped);
     } else if (config_.adder_cell == FullAdderKind::Accurate ||
                clamped >= config_.approx_lsbs) {
-      adder = std::make_unique<ExactAdder>(w);
+      adder = std::make_unique<ExactAdder>(width);
     } else {
-      std::vector<FullAdderKind> cells(w, FullAdderKind::Accurate);
-      for (unsigned i = 0; i < w && clamped + i < config_.approx_lsbs; ++i) {
+      std::vector<FullAdderKind> cells(width, FullAdderKind::Accurate);
+      for (unsigned i = 0; i < width && clamped + i < config_.approx_lsbs;
+           ++i) {
         cells[i] = config_.adder_cell;
       }
       adder = std::make_unique<RippleAdder>(std::move(cells));
     }
-    it = adders_.emplace(key, std::move(adder)).first;
+    adders_.emplace(key, std::move(adder));
   }
+}
+
+const Adder& ApproxMultiplier::adder_for(unsigned w,
+                                         unsigned significance) const {
+  const auto it = adders_.find(adder_key(w, significance));
+  assert(it != adders_.end() && "built by build_adders()");
   return *it->second;
 }
 

@@ -14,6 +14,14 @@
 /// New code and public boundaries with non-obvious failure modes should
 /// prefer AXC_REQUIRE; both throw std::invalid_argument so callers can
 /// catch uniformly.
+///
+/// A passing check must not allocate: several run once per bit or per
+/// sample (full_add, mul2x2, SadAccelerator::sad). A string literal binds
+/// to the `const char*` overloads and is only copied into the exception.
+/// A message assembled at run time must be built inside the failure
+/// branch (`if (!cond) throw std::invalid_argument(a + b);`), never
+/// passed pre-built to require(). The message bytes are part of the wire
+/// protocol: the service returns what() as the body of a BadRequest.
 #pragma once
 
 #include <stdexcept>
@@ -24,11 +32,19 @@ namespace axc {
 /// Throws std::invalid_argument with \p message unless \p condition holds.
 ///
 /// Use for argument validation at public API boundaries.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw std::invalid_argument(message);
+}
+
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw std::invalid_argument(message);
 }
 
 /// Throws std::out_of_range with \p message unless \p condition holds.
+inline void require_in_range(bool condition, const char* message) {
+  if (!condition) throw std::out_of_range(message);
+}
+
 inline void require_in_range(bool condition, const std::string& message) {
   if (!condition) throw std::out_of_range(message);
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -53,12 +54,21 @@ Characterization characterize(const Netlist& netlist,
                               const PowerModel& model =
                                   calibrated_power_model());
 
+/// Entry limit of characterize()'s memo, the only one whose key includes
+/// the caller's seed; beyond it the least recently used record is evicted.
+/// The memo's real hits come from design-space sweeps re-characterizing
+/// configurations under one fixed seed; the cap holds that working set
+/// many times over, in at most about 0.4 MiB (DESIGN.md §14).
+inline constexpr std::size_t kCharacterizationRecordCap = 2048;
+
 /// Hit/miss counters of the in-process characterization cache (covers
 /// characterize(), netlist_truth_table() and accel::characterize_sad()).
 /// All cache operations are thread-safe.
 struct CharacterizationCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// characterize() records held; never above kCharacterizationRecordCap.
+  std::size_t records = 0;
 };
 CharacterizationCacheStats characterization_cache_stats();
 

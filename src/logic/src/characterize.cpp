@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <list>
 #include <mutex>
 #include <unordered_map>
 
@@ -24,12 +25,45 @@ void count_cache_probe(bool hit) {
   (hit ? hits : misses).add();
 }
 
+/// characterize()'s records, least recently used evicted beyond
+/// kCharacterizationRecordCap. Their keys include the caller's seed, so
+/// unlike the structure-keyed maps they grow with served traffic.
+struct RecordLru {
+  using Entry = std::pair<std::uint64_t, Characterization>;
+  std::list<Entry> lru;  ///< front = most recent
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
+
+  const Characterization* find(std::uint64_t key) {
+    const auto it = index.find(key);
+    if (it == index.end()) return nullptr;
+    lru.splice(lru.begin(), lru, it->second);
+    return &it->second->second;
+  }
+
+  /// Keeps an entry another thread interned first, as emplace() would.
+  const Characterization& insert(std::uint64_t key, Characterization value) {
+    if (const Characterization* existing = find(key)) return *existing;
+    lru.emplace_front(key, std::move(value));
+    index.emplace(key, lru.begin());
+    if (lru.size() > kCharacterizationRecordCap) {
+      index.erase(lru.back().first);
+      lru.pop_back();
+    }
+    return lru.front().second;
+  }
+
+  void clear() {
+    index.clear();
+    lru.clear();
+  }
+};
+
 /// One process-wide memo for every simulated characterization product.
 /// Keys are structural-hash-derived digests; values are immutable once
 /// interned, so lookups can hand out copies under a single mutex.
 struct CharacterizationCache {
   std::mutex mutex;
-  std::unordered_map<std::uint64_t, Characterization> records;
+  RecordLru records;
   std::unordered_map<std::uint64_t, TruthTable> tables;
   std::unordered_map<std::uint64_t, std::array<double, 3>> numeric;
   std::uint64_t hits = 0;
@@ -129,11 +163,10 @@ Characterization characterize(const Netlist& netlist,
   {
     CharacterizationCache& c = cache();
     const std::lock_guard<std::mutex> lock(c.mutex);
-    const auto it = c.records.find(key);
-    if (it != c.records.end()) {
+    if (const Characterization* record = c.records.find(key)) {
       ++c.hits;
       count_cache_probe(true);
-      return it->second;
+      return *record;
     }
     ++c.misses;
     count_cache_probe(false);
@@ -153,13 +186,13 @@ Characterization characterize(const Netlist& netlist,
 
   CharacterizationCache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);
-  return c.records.emplace(key, std::move(result)).first->second;
+  return c.records.insert(key, std::move(result));
 }
 
 CharacterizationCacheStats characterization_cache_stats() {
   CharacterizationCache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);
-  return {c.hits, c.misses};
+  return {c.hits, c.misses, c.records.lru.size()};
 }
 
 void clear_characterization_cache() {

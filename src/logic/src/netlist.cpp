@@ -25,9 +25,11 @@ NetId Netlist::add_gate(CellType type, std::span<const NetId> inputs) {
   const CellInfo& info = cell_info(type);
   require(info.fanin > 0, "Netlist::add_gate: pseudo-cells cannot be "
                           "instantiated as gates");
-  require(static_cast<int>(inputs.size()) == info.fanin,
-          std::string("Netlist::add_gate: wrong input count for ") +
-              std::string(info.name));
+  if (static_cast<int>(inputs.size()) != info.fanin) {
+    throw std::invalid_argument(
+        std::string("Netlist::add_gate: wrong input count for ") +
+        std::string(info.name));
+  }
   Gate gate;
   gate.type = type;
   for (std::size_t i = 0; i < inputs.size(); ++i) {

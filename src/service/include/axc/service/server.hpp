@@ -55,6 +55,12 @@ using ResponseCallback = std::function<void(Bytes)>;
 using Dispatcher =
     std::function<Bytes(std::span<const std::uint8_t>, unsigned)>;
 
+/// True when \p endpoint's responses are pure functions of the request's
+/// canonical bytes: the result cache holds them, and peers may replicate
+/// them through CacheInsert. False for Ping, Shutdown, CacheInsert and
+/// any byte value that names no endpoint.
+bool is_cacheable(Endpoint endpoint);
+
 struct ServerOptions {
   /// Worker threads; 0 = hardware concurrency (minimum 1).
   unsigned workers = 0;

@@ -34,15 +34,17 @@ const EndpointInstruments& endpoint_instruments() {
   return instance;
 }
 
+}  // namespace
+
 bool is_cacheable(Endpoint endpoint) {
   // Ping carries no result, Shutdown is transport-level and CacheInsert
   // is the replication channel itself; everything else is a pure function
   // of its canonical bytes.
-  return endpoint != Endpoint::Ping && endpoint != Endpoint::Shutdown &&
+  return endpoint >= Endpoint::CharacterizeAdder &&
+         endpoint <= Endpoint::StaticAdderDesignSpace &&
+         endpoint != Endpoint::Ping && endpoint != Endpoint::Shutdown &&
          endpoint != Endpoint::CacheInsert;
 }
-
-}  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -175,10 +177,7 @@ Bytes Server::handle_cache_insert(std::span<const std::uint8_t> request) {
     return encode_error_response(Status::BadRequest,
                                  "cache_insert: malformed canonical bytes");
   }
-  const std::uint8_t raw_endpoint = insert.canonical[1];
-  if (raw_endpoint <
-          static_cast<std::uint8_t>(Endpoint::CharacterizeAdder) ||
-      raw_endpoint > static_cast<std::uint8_t>(Endpoint::EncodeProbe)) {
+  if (!is_cacheable(static_cast<Endpoint>(insert.canonical[1]))) {
     rejected.add();
     return encode_error_response(
         Status::BadRequest, "cache_insert: endpoint is not cacheable");

@@ -90,6 +90,30 @@ TEST(ParallelEvaluate, MultiplierSampledThreadInvariant) {
   expect_identical_stats(runs[0], runs[2]);
 }
 
+TEST(ParallelEvaluate, FreshMultiplierSampledThreadInvariant) {
+  // The served evaluate_error builds a new multiplier per request, so its
+  // first products run on every evaluation thread at once. Compare fresh
+  // multipliers; a warmed one hides any state built on first use.
+  arith::MultiplierConfig config;
+  config.width = 16;
+  config.block = arith::Mul2x2Kind::SoA;
+  config.adder_cell = arith::FullAdderKind::Apx3;
+  config.approx_lsbs = 8;
+  EvalOptions options;
+  options.max_exhaustive_bits = 8;
+  options.samples = std::uint64_t{1} << 18;  // 4 chunks of 2^16
+  options.seed = 0xF4E5;
+  std::vector<ErrorStats> runs;
+  for (const unsigned threads : {1u, 4u}) {
+    options.threads = threads;
+    const arith::ApproxMultiplier fresh(config);
+    runs.push_back(evaluate_multiplier(fresh, options));
+  }
+  EXPECT_FALSE(runs[0].exhaustive);
+  EXPECT_GT(runs[0].error_count, 0u);
+  expect_identical_stats(runs[0], runs[1]);
+}
+
 TEST(ParallelEvaluate, PartialFinalChunkThreadInvariant) {
   // A sample count that is not a multiple of the chunk size exercises the
   // short final chunk.

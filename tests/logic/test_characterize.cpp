@@ -153,6 +153,55 @@ TEST(CharacterizationCache, ClearResetsStatsAndDropsEntries) {
   EXPECT_EQ(characterization_cache_stats().misses, 1u);  // re-simulated
 }
 
+TEST(CharacterizationCache, EvictsLeastRecentlyUsedRecordBeyondCap) {
+  clear_characterization_cache();
+  const Netlist nl = full_adder_netlist(FullAdderKind::Accurate);
+  for (std::uint64_t seed = 0; seed < kCharacterizationRecordCap; ++seed) {
+    characterize(nl, std::nullopt, 64, seed);
+  }
+  EXPECT_EQ(characterization_cache_stats().records,
+            kCharacterizationRecordCap);
+  characterize(nl, std::nullopt, 64, 0);  // seed 0 becomes most recent
+  characterize(nl, std::nullopt, 64, kCharacterizationRecordCap);  // evicts 1
+  const auto full = characterization_cache_stats();
+  EXPECT_EQ(full.records, kCharacterizationRecordCap);
+  EXPECT_EQ(full.hits, 1u);
+
+  characterize(nl, std::nullopt, 64, 0);
+  EXPECT_EQ(characterization_cache_stats().hits, 2u);
+  characterize(nl, std::nullopt, 64, 1);
+  EXPECT_EQ(characterization_cache_stats().misses, full.misses + 1);
+}
+
+TEST(CharacterizationCache, UniqueSeedTrafficStaysUnderCapAndKeepsHotKeys) {
+  // Each served characterization may carry a fresh seed. The memo must not
+  // grow with them, and a key in steady use (a sweep's fixed seed) must
+  // keep hitting between them.
+  clear_characterization_cache();
+  const Netlist nl = full_adder_netlist(FullAdderKind::Accurate);
+  constexpr std::uint64_t kFixedSeed = 1;
+  constexpr std::uint64_t kUniqueSeeds = 100'000;
+  constexpr std::uint64_t kTouchEvery = kCharacterizationRecordCap / 4;
+  const Characterization pinned =
+      characterize(nl, std::nullopt, 64, kFixedSeed);
+  for (std::uint64_t i = 0; i < kUniqueSeeds; ++i) {
+    characterize(nl, std::nullopt, 64, kFixedSeed + 1 + i);
+    ASSERT_LE(characterization_cache_stats().records,
+              kCharacterizationRecordCap);
+    if (i % kTouchEvery != 0) continue;
+    const auto before = characterization_cache_stats();
+    const Characterization again =
+        characterize(nl, std::nullopt, 64, kFixedSeed);
+    const auto after = characterization_cache_stats();
+    ASSERT_EQ(after.hits, before.hits + 1) << "after " << i << " seeds";
+    ASSERT_EQ(after.misses, before.misses);
+    ASSERT_EQ(again.power_nw, pinned.power_nw);
+  }
+  const auto stats = characterization_cache_stats();
+  EXPECT_EQ(stats.records, kCharacterizationRecordCap);
+  EXPECT_EQ(stats.misses, kUniqueSeeds + 1);
+}
+
 TEST(NetlistTruthTable, TooWideRejected) {
   Netlist nl;
   for (int i = 0; i < 21; ++i) nl.add_input("i");

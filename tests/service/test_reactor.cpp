@@ -221,6 +221,62 @@ TEST(Reactor, LegacyClientAllEndpointsRoundTrip) {
   server.stop();
 }
 
+TEST(Reactor, CacheInsertAcceptsEveryCacheableEndpoint) {
+  // A replicating peer ships whatever it cached, so a node must accept a
+  // CacheInsert for exactly the endpoints it caches itself. The endpoints
+  // come from the whole byte range, not a list, so a new endpoint is
+  // covered without editing this test.
+  std::atomic<int> dispatched{0};
+  ServerOptions options;
+  options.workers = 1;
+  options.accept_cache_inserts = true;
+  options.dispatcher = [&dispatched](std::span<const std::uint8_t>,
+                                     unsigned) {
+    ++dispatched;
+    return encode_error_response(Status::InternalError, "not a cache hit");
+  };
+  Server server(options);
+  ReactorServer reactor(server, {});
+  TcpConnection connection("127.0.0.1", reactor.port());
+
+  int cacheable = 0;
+  for (int raw = 0; raw <= 0xFF; ++raw) {
+    const auto endpoint = static_cast<Endpoint>(raw);
+    const bool named = endpoint_name(endpoint) != "unknown";
+    const bool expected = named && endpoint != Endpoint::Ping &&
+                          endpoint != Endpoint::Shutdown &&
+                          endpoint != Endpoint::CacheInsert;
+    ASSERT_EQ(is_cacheable(endpoint), expected) << "endpoint " << raw;
+
+    // The cache keys on canonical bytes only, so an opaque body tagged
+    // with the endpoint stands in for a real request.
+    CacheInsertRequest insert;
+    insert.canonical = {kProtocolVersion, static_cast<std::uint8_t>(raw),
+                        0xA5, static_cast<std::uint8_t>(raw)};
+    insert.response = encode_response(
+        CharacterizeResponse{.area_ge = 1.0 + raw, .gate_count = 7});
+    const Bytes ack = connection.roundtrip(encode_request(insert));
+    if (!expected) {
+      EXPECT_EQ(response_status(ack), Status::BadRequest) << "endpoint "
+                                                           << raw;
+      continue;
+    }
+    ++cacheable;
+    ASSERT_EQ(response_status(ack), Status::Ok) << endpoint_name(endpoint);
+
+    Bytes request(insert.canonical);
+    request.insert(request.begin() + 2, {0, 0, 0, 0});  // deadline = 0
+    EXPECT_EQ(connection.roundtrip(request), insert.response)
+        << endpoint_name(endpoint);
+  }
+  EXPECT_GT(cacheable, 0);
+  EXPECT_EQ(dispatched.load(), 0);
+  EXPECT_EQ(server.cache().size(), static_cast<std::size_t>(cacheable));
+
+  reactor.stop();
+  server.stop();
+}
+
 TEST(Reactor, ResponsesMatchLoopbackByteForByte) {
   Server server({.workers = 2});
   ReactorServer reactor(server, {});

@@ -4,7 +4,9 @@
 /// per-candidate netlist SAD over a full motion-search window, 1-vs-N-thread
 /// error evaluation and block-parallel video encoding on fixed workloads,
 /// and writes machine-readable medians and speedup ratios to
-/// BENCH_kernels.json.
+/// BENCH_kernels.json. A kernel this host cannot measure (more threads
+/// than hardware_concurrency, or a thread-scaling kernel on one thread)
+/// carries "measured": false and no speedup.
 ///
 /// In non-smoke runs the harness *asserts* the compiled-engine floors
 /// (>= 4x on "wallace8x8 exhaustive compiled" and "ripple16 streams
@@ -70,6 +72,8 @@ struct KernelResult {
   std::uint64_t vectors = 0;      ///< stimulus vectors per run
   unsigned baseline_threads = 1;  ///< worker threads the baseline ran on
   unsigned optimized_threads = 1; ///< worker threads the optimized path used
+  /// The two arms differ only in thread count (a thread-scaling kernel).
+  bool thread_scaling = false;
   /// Tail latency of one request in each arm; 0 = not a latency kernel.
   /// (Only the service_concurrency kernels fill these.)
   double baseline_p99_ms = 0.0;
@@ -485,6 +489,7 @@ KernelResult encoder_kernel(unsigned threads, bool smoke, int reps) {
   result.baseline = "threads=1";
   result.baseline_threads = 1;
   result.optimized_threads = threads;
+  result.thread_scaling = true;
 
   axc::video::EncodeStats one;
   axc::video::EncodeStats many;
@@ -522,6 +527,7 @@ KernelResult threading_kernel(std::uint64_t samples, unsigned threads,
   result.vectors = samples;
   result.baseline_threads = 1;
   result.optimized_threads = threads;
+  result.thread_scaling = true;
 
   axc::error::ErrorStats one;
   axc::error::ErrorStats many;
@@ -939,6 +945,7 @@ KernelResult cluster_sweep_kernel(bool smoke, int reps) {
   result.vectors = requests.size();
   result.baseline_threads = 2;
   result.optimized_threads = 8;  // 4 nodes x 2 workers
+  result.thread_scaling = true;
   result.baseline_ms = median_ms(reps, [&] { g_sink = cold_sweep(1).size(); });
   result.optimized_ms =
       median_ms(reps, [&] { g_sink = cold_sweep(4).size(); });
@@ -987,9 +994,18 @@ ObsOverhead measure_obs_overhead(bool smoke, int reps) {
   return result;
 }
 
+/// False when this host cannot measure what \p k compares: its optimized
+/// arm wants more threads than the host has (it would time the scheduler),
+/// or it scales threads but both arms ran on the same count (a 1-thread
+/// host). Such a kernel reports "measured": false and no speedup.
+bool measured(const KernelResult& k, unsigned hw) {
+  if (k.optimized_threads > hw) return false;
+  return !k.thread_scaling || k.optimized_threads > k.baseline_threads;
+}
+
 void write_json(const std::string& path,
                 const std::vector<KernelResult>& kernels,
-                const ObsOverhead& obs_overhead, bool smoke) {
+                const ObsOverhead& obs_overhead, bool smoke, unsigned hw) {
   // Report the machine's capacity *and* the thread counts the kernels
   // actually ran at — on constrained runners the two differ, and consumers
   // must judge scaling ratios against the latter.
@@ -1036,7 +1052,12 @@ void write_json(const std::string& path,
           << static_cast<double>(k.vectors) / (k.optimized_ms / denom)
           << ",\n";
     }
-    out << "      \"speedup\": " << k.speedup << "\n";
+    if (measured(k, hw)) {
+      out << "      \"speedup\": " << k.speedup << ",\n";
+      out << "      \"measured\": true\n";
+    } else {
+      out << "      \"measured\": false\n";
+    }
     out << "    }" << (i + 1 < kernels.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -1163,7 +1184,7 @@ int main(int argc, char** argv) {
   // Same binary, kill switch off vs on — the obs layer's runtime cost.
   const ObsOverhead obs_overhead = measure_obs_overhead(smoke, reps);
 
-  write_json(out_path, kernels, obs_overhead, smoke);
+  write_json(out_path, kernels, obs_overhead, smoke, hw);
 
   // Performance floors for the compiled engine (full runs only: smoke reps
   // and workloads are too small for stable ratios).
@@ -1190,8 +1211,13 @@ int main(int argc, char** argv) {
             << " (hardware_concurrency=" << hw << ")\n";
   for (const KernelResult& k : kernels) {
     std::cout << "  " << k.name << ": " << k.baseline_ms << " ms -> "
-              << k.optimized_ms << " ms (" << k.speedup << "x vs "
-              << k.baseline << ")\n";
+              << k.optimized_ms << " ms (";
+    if (measured(k, hw)) {
+      std::cout << k.speedup << "x vs " << k.baseline << ")\n";
+    } else {
+      std::cout << "not measured: " << k.optimized_threads
+                << " threads on hardware_concurrency=" << hw << ")\n";
+    }
   }
   std::cout << "  obs overhead (" << obs_overhead.workload
             << "): " << obs_overhead.disabled_ms << " ms off -> "

@@ -83,8 +83,15 @@ class GeArAdder final : public Adder {
   std::vector<bool> error_flags(std::uint64_t a, std::uint64_t b) const;
 
  private:
-  std::uint64_t add_once(std::uint64_t a, std::uint64_t b, unsigned carry_in,
-                         const std::vector<unsigned>& inject) const;
+  /// True iff sub-adder \p i (>= 1) predicts its carry wrongly: its P
+  /// prediction bits all propagate while the sub-adder below, fed
+  /// \p prev_carry_in, carries out.
+  bool mispredicts(std::uint64_t a, std::uint64_t b, unsigned i,
+                   std::uint64_t prev_carry_in) const;
+  /// One pass of the sub-adders; bit i of \p carries is the carry into
+  /// sub-adder i.
+  std::uint64_t add_once(std::uint64_t a, std::uint64_t b,
+                         std::uint64_t carries) const;
 
   GeArConfig config_;
   unsigned correction_iterations_;

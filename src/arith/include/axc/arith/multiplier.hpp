@@ -18,11 +18,12 @@
 /// bits — a mistake, not a design point.)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "axc/arith/adder.hpp"
 #include "axc/arith/mul2x2.hpp"
@@ -78,15 +79,15 @@ class ApproxMultiplier {
  private:
   std::uint64_t multiply_rec(unsigned w, std::uint64_t a, std::uint64_t b,
                              unsigned significance) const;
-  std::pair<unsigned, unsigned> adder_key(unsigned w,
-                                          unsigned significance) const;
+  std::size_t adder_slot(unsigned w, unsigned significance) const;
   void build_adders(unsigned w, unsigned significance);
   const Adder& adder_for(unsigned w, unsigned significance) const;
 
   MultiplierConfig config_;
-  /// Keyed by (width, clamped significance); filled once by the
-  /// constructor, read-only afterwards.
-  std::map<std::pair<unsigned, unsigned>, std::unique_ptr<Adder>> adders_;
+  /// Flat table indexed by adder_slot(width, significance), i.e. by
+  /// (adder width, significance clamped to approx_lsbs); filled once by the
+  /// constructor, read-only afterwards. Slots no adder uses stay null.
+  std::vector<std::unique_ptr<Adder>> adders_;
 };
 
 /// Exact reference product of the low \p width bits of a and b.

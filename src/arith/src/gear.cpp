@@ -34,9 +34,20 @@ GeArAdder::GeArAdder(GeArConfig config, unsigned correction_iterations)
   }
 }
 
+bool GeArAdder::mispredicts(std::uint64_t a, std::uint64_t b, unsigned i,
+                            std::uint64_t prev_carry_in) const {
+  const unsigned l = config_.l();
+  const bool all_propagate =
+      bit_field(a ^ b, i * config_.r, config_.p) == low_mask(config_.p);
+  if (!all_propagate) return false;
+  const unsigned prev_start = (i - 1) * config_.r;
+  const std::uint64_t prev_sum = bit_field(a, prev_start, l) +
+                                 bit_field(b, prev_start, l) + prev_carry_in;
+  return bit_of(prev_sum, l) != 0;
+}
+
 std::uint64_t GeArAdder::add_once(std::uint64_t a, std::uint64_t b,
-                                  unsigned carry_in,
-                                  const std::vector<unsigned>& inject) const {
+                                  std::uint64_t carries) const {
   const unsigned l = config_.l();
   const unsigned k = config_.num_subadders();
   std::uint64_t sum = 0;
@@ -44,8 +55,7 @@ std::uint64_t GeArAdder::add_once(std::uint64_t a, std::uint64_t b,
     const unsigned start = i * config_.r;
     const std::uint64_t win_a = bit_field(a, start, l);
     const std::uint64_t win_b = bit_field(b, start, l);
-    const unsigned cin = (i == 0) ? (carry_in & 1u) : inject[i];
-    const std::uint64_t win_sum = win_a + win_b + cin;
+    const std::uint64_t win_sum = win_a + win_b + ((carries >> i) & 1u);
     if (i == 0) {
       sum |= win_sum & low_mask(l);
     } else {
@@ -61,9 +71,11 @@ std::uint64_t GeArAdder::add_once(std::uint64_t a, std::uint64_t b,
 
 std::uint64_t GeArAdder::add(std::uint64_t a, std::uint64_t b,
                              unsigned carry_in) const {
-  const unsigned l = config_.l();
   const unsigned k = config_.num_subadders();
-  std::vector<unsigned> inject(k, 0u);
+  // Bit i is the carry into sub-adder i: carry_in for sub-adder 0, a forced
+  // correction carry for the others. k <= 63 (N <= 63, R >= 1), so one
+  // 64-bit word holds them all.
+  std::uint64_t carries = carry_in & 1u;
 
   // Iterative error detection & recovery (Fig. 3, blue path): whenever the
   // previous sub-adder generated a carry-out and this sub-adder's P bits
@@ -75,51 +87,31 @@ std::uint64_t GeArAdder::add(std::uint64_t a, std::uint64_t b,
     // (the hardware computes them combinationally in parallel), so each
     // iteration advances the correction by one sub-adder stage and k-1
     // passes guarantee the exact sum.
-    const std::vector<unsigned> prev_inject = inject;
-    bool changed = false;
+    const std::uint64_t prev = carries;
     for (unsigned i = 1; i < k; ++i) {
-      if (inject[i]) continue;
-      const unsigned start = i * config_.r;
-      const bool all_propagate =
-          bit_field(a ^ b, start, config_.p) == low_mask(config_.p);
-      if (!all_propagate) continue;
-      // Carry-out of the sub-adder below, with its current injection.
-      const unsigned prev_start = (i - 1) * config_.r;
-      const std::uint64_t prev_sum =
-          bit_field(a, prev_start, l) + bit_field(b, prev_start, l) +
-          (i == 1 ? (carry_in & 1u) : prev_inject[i - 1]);
-      if (bit_of(prev_sum, l)) {
-        inject[i] = 1;
-        changed = true;
-      }
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      if (carries & bit) continue;
+      // Carry-out of the sub-adder below, fed its carry of the last pass.
+      if (mispredicts(a, b, i, (prev >> (i - 1)) & 1u)) carries |= bit;
     }
-    if (!changed) break;
+    if (carries == prev) break;
   }
-  return add_once(a, b, carry_in, inject);
+  return add_once(a, b, carries);
 }
 
 std::vector<bool> GeArAdder::error_flags(std::uint64_t a,
                                          std::uint64_t b) const {
-  const unsigned l = config_.l();
   const unsigned k = config_.num_subadders();
   std::vector<bool> flags;
   flags.reserve(k - 1);
-  for (unsigned i = 1; i < k; ++i) {
-    const unsigned start = i * config_.r;
-    const bool all_propagate =
-        bit_field(a ^ b, start, config_.p) == low_mask(config_.p);
-    const unsigned prev_start = (i - 1) * config_.r;
-    const std::uint64_t prev_sum =
-        bit_field(a, prev_start, l) + bit_field(b, prev_start, l);
-    flags.push_back(all_propagate && bit_of(prev_sum, l) != 0);
-  }
+  for (unsigned i = 1; i < k; ++i) flags.push_back(mispredicts(a, b, i, 0));
   return flags;
 }
 
 bool GeArAdder::error_detected(std::uint64_t a, std::uint64_t b) const {
-  const auto flags = error_flags(a, b);
-  for (const bool f : flags) {
-    if (f) return true;
+  const unsigned k = config_.num_subadders();
+  for (unsigned i = 1; i < k; ++i) {
+    if (mispredicts(a, b, i, 0)) return true;
   }
   return false;
 }

@@ -46,15 +46,19 @@ ApproxMultiplier::ApproxMultiplier(MultiplierConfig config)
           std::to_string(config_.approx_lsbs);
     }
   }
+  // The widest partial-product adder is the top level's final combine,
+  // 2w - w/2 bits wide.
+  adders_.resize(adder_slot(3 * config_.width / 2, config_.approx_lsbs) + 1);
   build_adders(config_.width, 0);
 }
 
-std::pair<unsigned, unsigned> ApproxMultiplier::adder_key(
-    unsigned w, unsigned significance) const {
+std::size_t ApproxMultiplier::adder_slot(unsigned w,
+                                         unsigned significance) const {
   // Adders whose whole span lies above the approximate region are
-  // identical regardless of exact significance: clamp the key so they
-  // share one instance.
-  return {w, std::min(significance, config_.approx_lsbs)};
+  // identical regardless of exact significance: clamp the significance so
+  // they share one slot (and one instance).
+  return std::size_t{w} * (config_.approx_lsbs + 1) +
+         std::min(significance, config_.approx_lsbs);
 }
 
 void ApproxMultiplier::build_adders(unsigned w, unsigned significance) {
@@ -65,33 +69,31 @@ void ApproxMultiplier::build_adders(unsigned w, unsigned significance) {
   build_adders(half, significance);
   build_adders(half, significance + half);
   build_adders(half, significance + w);
+  const unsigned clamped = std::min(significance + half, config_.approx_lsbs);
   for (const unsigned width : {w, 2 * w - half}) {
-    const auto key = adder_key(width, significance + half);
-    if (adders_.contains(key)) continue;
-    const unsigned clamped = key.second;
-    std::unique_ptr<Adder> adder;
+    std::unique_ptr<Adder>& slot = adders_[adder_slot(width, clamped)];
+    if (slot) continue;
     if (config_.adder_factory) {
-      adder = config_.adder_factory(width, clamped);
+      slot = config_.adder_factory(width, clamped);
     } else if (config_.adder_cell == FullAdderKind::Accurate ||
                clamped >= config_.approx_lsbs) {
-      adder = std::make_unique<ExactAdder>(width);
+      slot = std::make_unique<ExactAdder>(width);
     } else {
       std::vector<FullAdderKind> cells(width, FullAdderKind::Accurate);
       for (unsigned i = 0; i < width && clamped + i < config_.approx_lsbs;
            ++i) {
         cells[i] = config_.adder_cell;
       }
-      adder = std::make_unique<RippleAdder>(std::move(cells));
+      slot = std::make_unique<RippleAdder>(std::move(cells));
     }
-    adders_.emplace(key, std::move(adder));
   }
 }
 
 const Adder& ApproxMultiplier::adder_for(unsigned w,
                                          unsigned significance) const {
-  const auto it = adders_.find(adder_key(w, significance));
-  assert(it != adders_.end() && "built by build_adders()");
-  return *it->second;
+  const Adder* adder = adders_[adder_slot(w, significance)].get();
+  assert(adder != nullptr && "built by build_adders()");
+  return *adder;
 }
 
 std::uint64_t ApproxMultiplier::multiply(std::uint64_t a,

@@ -1,5 +1,6 @@
 #include "axc/resilience/gear_sad.hpp"
 
+#include <array>
 #include <bit>
 
 #include "axc/common/require.hpp"
@@ -25,6 +26,8 @@ arith::GeArConfig gear_config_for_width(const arith::GeArConfig& base,
 namespace {
 
 constexpr unsigned kPixelBits = 8;
+constexpr unsigned kMaxBlockPixels = 4096;
+constexpr unsigned kMaxTreeLevels = std::countr_zero(kMaxBlockPixels);
 
 arith::GeArAdder make_adder(const arith::GeArConfig& base, unsigned width,
                             unsigned corrections) {
@@ -39,7 +42,7 @@ GearSad::GearSad(unsigned block_pixels, const arith::GeArConfig& base,
       base_(base),
       corrections_(correction_iterations),
       subtractor_(make_adder(base, kPixelBits, correction_iterations)) {
-  AXC_REQUIRE(block_pixels >= 2 && block_pixels <= 4096 &&
+  AXC_REQUIRE(block_pixels >= 2 && block_pixels <= kMaxBlockPixels &&
                   std::has_single_bit(block_pixels),
               "GearSad: block_pixels must be a power of two in [2, 4096]");
   AXC_REQUIRE(base.is_valid() && base.n == kPixelBits,
@@ -58,19 +61,21 @@ std::uint64_t GearSad::sad(std::span<const std::uint8_t> a,
                            std::span<const std::uint8_t> b) const {
   AXC_REQUIRE(a.size() == block_pixels_ && b.size() == a.size(),
               "GearSad::sad: block size mismatch");
-  std::vector<std::uint64_t> values(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    values[i] = arith::abs_diff_via(subtractor_, a[i], b[i]);
-  }
   // Binary reduction; level adders carry one extra output bit per level.
-  for (const arith::GeArAdder& adder : tree_adders_) {
-    const std::size_t half = values.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      values[i] = adder.add(values[2 * i], values[2 * i + 1], 0);
+  // One pending left operand per level, as in accel::SadAccelerator::sad:
+  // the same tree nodes add the same operands as a level-by-level
+  // reduction, without a per-call buffer.
+  std::array<std::uint64_t, kMaxTreeLevels + 1> pending{};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    std::uint64_t value = arith::abs_diff_via(subtractor_, a[i], b[i]);
+    unsigned level = 0;
+    // Pixel i completes one node per trailing 1 bit of its index.
+    for (std::size_t index = i; (index & 1u) != 0; index >>= 1, ++level) {
+      value = tree_adders_[level].add(pending[level], value, 0);
     }
-    values.resize(half);
+    pending[level] = value;
   }
-  return values.front();
+  return pending[tree_adders_.size()];
 }
 
 std::string GearSad::name() const {

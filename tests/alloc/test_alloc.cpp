@@ -1,23 +1,31 @@
 /// Allocation budget of the behavioural hot paths: a passing precondition
 /// check must not allocate, and neither may the per-bit, per-sample and
 /// per-candidate calls the served encode_probe and evaluate_error spend
-/// their time in. This binary replaces every global operator new/delete
-/// form with a counting one, so it must stay its own test executable.
+/// their time in. Each served cold endpoint also has a per-request
+/// ceiling, so a per-sample allocation anywhere below dispatch() fails.
+/// This binary replaces every global operator new/delete form with a
+/// counting one, so it must stay its own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "axc/accel/sad.hpp"
 #include "axc/arith/adder.hpp"
 #include "axc/arith/full_adder.hpp"
+#include "axc/arith/gear.hpp"
 #include "axc/arith/mul2x2.hpp"
 #include "axc/arith/multiplier.hpp"
 #include "axc/common/rng.hpp"
+#include "axc/resilience/gear_sad.hpp"
+#include "axc/service/endpoints.hpp"
+#include "axc/service/protocol.hpp"
 
 namespace {
 
@@ -225,6 +233,297 @@ TEST(AllocationBudget, MultiplyIsAllocationFreeFromItsFirstCall) {
     EXPECT_EQ(later, 0u) << multiplier.name();
     EXPECT_GT(checksum, 0u);
   }
+}
+
+TEST(AllocationBudget, GearAddIsAllocationFreeAtEveryCorrectionDepth) {
+  // 0, 1 and k-1 correction passes: the carry injections live in one
+  // register, so no pass count may allocate. GeAr(63,1,1) has 62
+  // sub-adders, the widest injection mask there is.
+  for (const arith::GeArConfig config :
+       {arith::GeArConfig{16, 4, 4}, arith::GeArConfig{12, 2, 2},
+        arith::GeArConfig{63, 1, 1}}) {
+    const unsigned k = config.num_subadders();
+    for (const unsigned passes : {0u, 1u, k - 1}) {
+      const arith::GeArAdder adder(config, passes);
+      Rng rng(config.n * 100 + passes);
+      std::uint64_t checksum = 0;
+      const std::uint64_t made = allocations_during([&] {
+        for (int i = 0; i < 256; ++i) {
+          checksum += adder.add(rng.bits(config.n), rng.bits(config.n),
+                                static_cast<unsigned>(i & 1));
+        }
+      });
+      EXPECT_EQ(made, 0u) << adder.name();
+      EXPECT_GT(checksum, 0u);
+    }
+  }
+}
+
+TEST(AllocationBudget, GearErrorDetectedIsAllocationFree) {
+  const arith::GeArAdder adder({16, 2, 2});
+  Rng rng(0xED);
+  unsigned detected = 0;
+  const std::uint64_t made = allocations_during([&] {
+    for (int i = 0; i < 256; ++i) {
+      detected += adder.error_detected(rng.bits(16), rng.bits(16)) ? 1 : 0;
+    }
+  });
+  EXPECT_EQ(made, 0u);
+  EXPECT_GT(detected, 0u);
+}
+
+TEST(AllocationBudget, GearSadIsAllocationFree) {
+  Rng rng(0x6EA5);
+  for (const unsigned block_pixels : {4u, 64u, 4096u}) {
+    std::vector<std::uint8_t> a(block_pixels), b(block_pixels);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<std::uint8_t>(rng.bits(8));
+      b[i] = static_cast<std::uint8_t>(rng.bits(8));
+    }
+    for (const unsigned corrections : {0u, 1u, 2u}) {
+      const resilience::GearSad sad(block_pixels, {8, 2, 2}, corrections);
+      std::uint64_t checksum = 0;
+      const std::uint64_t made =
+          allocations_during([&] { checksum += sad.sad(a, b); });
+      EXPECT_EQ(made, 0u) << sad.name();
+      EXPECT_GT(checksum, 0u);
+    }
+  }
+}
+
+TEST(AllocationBudget, GearPartialProductMultiplyIsAllocationFree) {
+  for (const unsigned width : {4u, 8u, 16u}) {
+    arith::MultiplierConfig config;
+    config.width = width;
+    config.adder_factory = arith::gear_partial_product_factory();
+    const arith::ApproxMultiplier multiplier(config);
+    Rng rng(width + 7);
+    std::uint64_t checksum = 0;
+    const std::uint64_t made = allocations_during([&] {
+      for (int i = 0; i < 256; ++i) {
+        checksum += multiplier.multiply(rng.bits(width), rng.bits(width));
+      }
+    });
+    EXPECT_EQ(made, 0u) << multiplier.name();
+    EXPECT_GT(checksum, 0u);
+  }
+}
+
+// --- Per-request ceilings on the served cold endpoints ------------------
+//
+// Each case dispatches one request the way the service's worker does
+// (eval_threads = 1). A warm-up call with another seed first fills the
+// process-wide caches keyed by structure (the compiled-tape cache and the
+// characterization memo's tables), as steady-state traffic finds them.
+// The ceilings sit at about twice the counts measured when they were set,
+// so a different standard library still passes while any allocation per
+// sample, per candidate or per vector fails.
+
+/// Builds the request under test from a seed (or threshold) salt.
+using RequestFor = std::function<service::Bytes(std::uint64_t salt)>;
+
+struct ServedCase {
+  std::string label;
+  RequestFor make;
+  std::uint64_t ceiling;  ///< about twice the count when it was set
+};
+
+/// Heap allocations one dispatch() of make(2) makes after make(1) ran.
+std::uint64_t served_allocations(const RequestFor& make) {
+  const service::DispatchOptions options;  // eval_threads = 1
+  const service::Bytes warm_up = make(1);
+  const service::Bytes counted = make(2);
+  const service::Bytes warm_response = service::dispatch(warm_up, options);
+  EXPECT_TRUE(service::response_status(warm_response) == service::Status::Ok);
+  service::Bytes response;
+  const std::uint64_t made = allocations_during(
+      [&] { response = service::dispatch(counted, options); });
+  EXPECT_TRUE(service::response_status(response) == service::Status::Ok);
+  return made;
+}
+
+void expect_ceilings(const std::vector<ServedCase>& cases) {
+  for (const ServedCase& c : cases) {
+    EXPECT_LE(served_allocations(c.make), c.ceiling) << c.label;
+  }
+}
+
+TEST(ServedAllocationCeiling, EncodeProbe) {
+  // 73 allocations per request for every SAD variant.
+  std::vector<ServedCase> cases;
+  for (const unsigned variant : {0u, 3u, 5u}) {
+    cases.push_back({"variant " + std::to_string(variant),
+                     [variant](std::uint64_t s) {
+                       service::EncodeProbeRequest request;
+                       request.width = 32;
+                       request.height = 32;
+                       request.frames = 2;
+                       request.sequence_seed = s;
+                       request.sad_variant =
+                           static_cast<std::uint8_t>(variant);
+                       request.approx_lsbs = variant == 0 ? 0 : 4;
+                       return service::encode_request(request);
+                     },
+                     150});
+  }
+  expect_ceilings(cases);
+}
+
+RequestFor characterize_adder(service::AdderFamily family,
+                              std::uint32_t width) {
+  return [family, width](std::uint64_t s) {
+    service::CharacterizeAdderRequest request;
+    request.family = family;
+    request.width = width;
+    request.param_a = family == service::AdderFamily::Gear ? 2 : 4;
+    request.param_b = 2;
+    request.cell = arith::FullAdderKind::Apx3;
+    request.vectors = 16384;
+    request.seed = s;
+    return service::encode_request(request);
+  };
+}
+
+TEST(ServedAllocationCeiling, CharacterizeAdder) {
+  // 50-81 allocations per request across families and widths.
+  using service::AdderFamily;
+  std::vector<ServedCase> cases;
+  for (const AdderFamily family : {AdderFamily::Gear, AdderFamily::Loa,
+                                   AdderFamily::Etai, AdderFamily::Ripple}) {
+    for (const std::uint32_t width : {8u, 32u}) {
+      cases.push_back({"family " + std::to_string(static_cast<int>(family)) +
+                           " width " + std::to_string(width),
+                       characterize_adder(family, width), 160});
+    }
+  }
+  expect_ceilings(cases);
+}
+
+RequestFor characterize_multiplier(service::MultiplierStructure structure,
+                                   std::uint32_t width) {
+  return [structure, width](std::uint64_t s) {
+    service::CharacterizeMultiplierRequest request;
+    request.structure = structure;
+    request.width = width;
+    request.block = arith::Mul2x2Kind::Ours;
+    request.cell = arith::FullAdderKind::Apx2;
+    request.approx_lsbs = 4;
+    request.vectors = 16384;
+    request.seed = s;
+    return service::encode_request(request);
+  };
+}
+
+TEST(ServedAllocationCeiling, CharacterizeMultiplier) {
+  using service::MultiplierStructure;
+  expect_ceilings({
+      {"recursive 8", characterize_multiplier(MultiplierStructure::Recursive, 8),
+       210},  // 105
+      {"recursive 16",
+       characterize_multiplier(MultiplierStructure::Recursive, 16),
+       550},  // 273
+      {"wallace 8", characterize_multiplier(MultiplierStructure::Wallace, 8),
+       480},  // 238
+      {"wallace 16",
+       characterize_multiplier(MultiplierStructure::Wallace, 16),
+       1360},  // 679
+  });
+}
+
+TEST(ServedAllocationCeiling, DesignSpaceSweeps) {
+  // The sweeps characterize under a fixed seed, so the warm-up fills the
+  // memo; the threshold makes each request unique, as in served traffic.
+  const auto threshold = [](std::uint64_t s) {
+    return 80.0 + static_cast<double>(s);
+  };
+  expect_ceilings({
+      {"gear",
+       [&](std::uint64_t s) {
+         service::GearDesignSpaceRequest request;
+         request.width = 10;
+         request.estimate_power = true;
+         request.min_accuracy = threshold(s);
+         return service::encode_request(request);
+       },
+       1900},  // 945
+      {"hetero",
+       [&](std::uint64_t s) {
+         service::HeteroAdderDesignSpaceRequest request;
+         request.width = 12;
+         request.estimate_power = true;
+         request.min_accuracy = threshold(s);
+         return service::encode_request(request);
+       },
+       800},  // 400
+      {"array_mul",
+       [&](std::uint64_t s) {
+         service::ArrayMulDesignSpaceRequest request;
+         request.width = 8;
+         request.estimate_power = true;
+         request.min_accuracy = threshold(s);
+         return service::encode_request(request);
+       },
+       17200},  // 8,575
+      {"static_adder",
+       [&](std::uint64_t s) {
+         service::StaticAdderDesignSpaceRequest request;
+         request.width = 16;
+         request.estimate_power = true;
+         request.min_accuracy = threshold(s);
+         return service::encode_request(request);
+       },
+       2800},  // 1,377
+  });
+}
+
+RequestFor evaluate_multiplier(std::uint32_t width) {
+  return [width](std::uint64_t s) {
+    service::EvaluateErrorRequest request;
+    request.target = service::EvalTarget::Multiplier;
+    request.mul_width = width;
+    request.mul_block = arith::Mul2x2Kind::SoA;
+    request.mul_cell = arith::FullAdderKind::Apx4;
+    request.mul_approx_lsbs = width;
+    request.max_exhaustive_bits = 8;
+    request.samples = 1u << 14;
+    request.seed = s;
+    return service::encode_request(request);
+  };
+}
+
+TEST(ServedAllocationCeiling, EvaluateErrorOnMultipliers) {
+  // 4x4 is exhaustive, 8x8 sampled (2^14 samples); the per-sample work
+  // allocates nothing, so the count is the request's fixed cost.
+  expect_ceilings({{"4x4", evaluate_multiplier(4), 34},    // 17
+                   {"8x8", evaluate_multiplier(8), 54}});  // 27
+}
+
+TEST(ServedAllocationCeiling, EvaluateErrorOnGear) {
+  // 11 allocations per request, exhaustive (16 input bits) or sampled
+  // (2^15 samples), at 0, 1 and k-1 correction passes: the count must not
+  // grow with samples or passes. The ceiling is 16, under twice that.
+  // When GeArAdder::add heap-allocated its carry injections, these cases
+  // made 32,779 to 143,371.
+  std::vector<ServedCase> cases;
+  for (const arith::GeArConfig config :
+       {arith::GeArConfig{8, 2, 2}, arith::GeArConfig{16, 4, 4},
+        arith::GeArConfig{12, 1, 3}}) {
+    for (const std::uint32_t passes : {0u, 1u, config.num_subadders() - 1}) {
+      cases.push_back({config.name() + " passes " + std::to_string(passes),
+                       [config, passes](std::uint64_t s) {
+                         service::EvaluateErrorRequest request;
+                         request.target = service::EvalTarget::GearAdder;
+                         request.gear = config;
+                         request.correction_iterations = passes;
+                         request.max_exhaustive_bits = 16;
+                         request.samples = 1u << 15;
+                         request.seed = s;
+                         return service::encode_request(request);
+                       },
+                       16});
+    }
+  }
+  expect_ceilings(cases);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// Perf harness for the bit-parallel simulation + multithreaded evaluation
-/// work: times the scalar vs bitsliced netlist simulators, the compiled
-/// wide-lane tape engine vs the bitsliced interpreter, batched vs
+/// work: times the scalar vs 64-lane netlist simulator facades, the
+/// wide-lane functional tape vs the 64-lane counted facade, batched vs
 /// per-candidate netlist SAD over a full motion-search window, 1-vs-N-thread
 /// error evaluation and block-parallel video encoding on fixed workloads,
 /// and writes machine-readable medians and speedup ratios to
@@ -8,9 +8,10 @@
 /// than hardware_concurrency, or a thread-scaling kernel on one thread)
 /// carries "measured": false and no speedup.
 ///
-/// In non-smoke runs the harness *asserts* the compiled-engine floors
+/// In non-smoke runs the harness *asserts* the wide-lane tape floors
 /// (>= 4x on "wallace8x8 exhaustive compiled" and "ripple16 streams
-/// compiled") so a perf regression fails the run instead of silently
+/// compiled") and the pipelining floor (>= 2x on "service_concurrency
+/// conns=256"), so a perf regression fails the run instead of silently
 /// shipping a smaller number.
 ///
 /// Usage: perf_kernels [--smoke] [--out <path>]
@@ -58,14 +59,13 @@
 namespace {
 
 using axc::bench::median_ms;
-using axc::logic::SimEngine;
 /// Keeps results observable so the timed loops cannot be optimized away.
 volatile std::uint64_t& g_sink = axc::bench::sink;
 
 struct KernelResult {
   std::string name;
   std::string baseline;  ///< what `speedup` is measured against
-  std::string engine;    ///< simulation engine of the optimized path ("" = n/a)
+  std::string engine;    ///< what the optimized arm runs on ("" = n/a)
   double baseline_ms = 0.0;
   double optimized_ms = 0.0;
   double speedup = 0.0;
@@ -80,7 +80,9 @@ struct KernelResult {
   double optimized_p99_ms = 0.0;
 };
 
-/// Scalar vs bitsliced exhaustive enumeration of a <=64-input netlist.
+/// Scalar vs 64-lane exhaustive enumeration of a <=64-input netlist: the
+/// 1-lane Simulator wrapper vs the BitslicedSimulator facade, both on the
+/// compiled tape, so the ratio measures lane packing.
 KernelResult exhaustive_kernel(const std::string& name,
                                const axc::logic::Netlist& netlist, int reps) {
   using axc::logic::BitslicedSimulator;
@@ -90,8 +92,6 @@ KernelResult exhaustive_kernel(const std::string& name,
   KernelResult result;
   result.name = name;
   result.baseline = "scalar Simulator::apply_word";
-  result.engine = "bitsliced";  // both arms pinned: this kernel measures
-                                // lane packing, not the tape compiler
   result.vectors = total;
 
   // Checksums from both paths must agree — validated outside the timing.
@@ -99,14 +99,14 @@ KernelResult exhaustive_kernel(const std::string& name,
   std::uint64_t packed_sum = 0;
 
   result.baseline_ms = median_ms(reps, [&] {
-    axc::logic::Simulator sim(netlist, SimEngine::Bitsliced);
+    axc::logic::Simulator sim(netlist);
     std::uint64_t sum = 0;
     for (std::uint64_t w = 0; w < total; ++w) sum += sim.apply_word(w);
     scalar_sum = sum;
     g_sink = sum;
   });
   result.optimized_ms = median_ms(reps, [&] {
-    BitslicedSimulator sim(netlist, SimEngine::Bitsliced);
+    BitslicedSimulator sim(netlist);
     std::uint64_t sum = 0;
     for (std::uint64_t base = 0; base < total;
          base += BitslicedSimulator::kLanes) {
@@ -127,7 +127,7 @@ KernelResult exhaustive_kernel(const std::string& name,
   return result;
 }
 
-/// Scalar vs bitsliced random-stimulus simulation (works for any input
+/// Scalar vs 64-lane random-stimulus simulation (works for any input
 /// count, including the >64-input SAD datapath shape).
 KernelResult random_kernel(const std::string& name,
                            const axc::logic::Netlist& netlist, unsigned steps,
@@ -148,7 +148,6 @@ KernelResult random_kernel(const std::string& name,
   KernelResult result;
   result.name = name;
   result.baseline = "scalar Simulator::apply";
-  result.engine = "bitsliced";  // pinned; see exhaustive_kernel
   result.vectors = static_cast<std::uint64_t>(steps) * kLanes;
 
   double scalar_energy = 0.0;
@@ -158,7 +157,7 @@ KernelResult random_kernel(const std::string& name,
     double energy = 0.0;
     std::vector<unsigned> bits(n_in);
     for (unsigned lane = 0; lane < kLanes; ++lane) {
-      axc::logic::Simulator sim(netlist, SimEngine::Bitsliced);
+      axc::logic::Simulator sim(netlist);
       for (unsigned t = 0; t < steps; ++t) {
         for (std::size_t i = 0; i < n_in; ++i) {
           bits[i] = axc::bit_of(stimulus[t][i], lane);
@@ -170,7 +169,7 @@ KernelResult random_kernel(const std::string& name,
     scalar_energy = energy;
   });
   result.optimized_ms = median_ms(reps, [&] {
-    BitslicedSimulator sim(netlist, SimEngine::Bitsliced);
+    BitslicedSimulator sim(netlist);
     for (unsigned t = 0; t < steps; ++t) {
       g_sink = sim.apply_lanes(stimulus[t]).front();
     }
@@ -192,7 +191,7 @@ KernelResult random_kernel(const std::string& name,
 /// motion window — the tentpole speedup of the batched evaluation path.
 KernelResult sad_window_kernel(const axc::accel::SadConfig& config,
                                int search_range, int reps) {
-  const axc::accel::NetlistSad packed(config, SimEngine::Bitsliced);
+  const axc::accel::NetlistSad packed(config);
   const std::size_t bp = config.block_pixels;
   const std::size_t window = static_cast<std::size_t>(2 * search_range + 1) *
                              (2 * search_range + 1);
@@ -206,7 +205,6 @@ KernelResult sad_window_kernel(const axc::accel::SadConfig& config,
   KernelResult result;
   result.name = config.name() + " netlist full-search window";
   result.baseline = "per-candidate NetlistSad::sad";
-  result.engine = "bitsliced";  // pinned; see exhaustive_kernel
   result.vectors = window;
 
   std::vector<std::uint64_t> scalar_out(window);
@@ -236,16 +234,17 @@ using WideWord = axc::logic::LaneBlock<8>;
 constexpr unsigned kWideLanes = axc::logic::LaneTraits<WideWord>::kLanes;
 constexpr unsigned kWideGroups = axc::logic::LaneTraits<WideWord>::kWords;
 
-/// Bitsliced interpreter vs compiled wide-lane tape over the same exhaustive
-/// enumeration. The timed region in both arms is the gate pass plus a cheap
+/// The 64-lane counted BitslicedSimulator facade (what every consumer runs)
+/// vs the wide-lane functional tape over the same exhaustive enumeration.
+/// The timed region in both arms is the gate pass plus a cheap
 /// packing-invariant checksum (per-output-word popcounts — the total set
 /// bits per output over the full input space does not depend on how vectors
 /// are packed into lanes, so 64-lane and 512-lane arms must agree). The
 /// optimized arm runs the tape functionally (counting off): consumers that
 /// never read toggles — error evaluation, output enumeration — skip the
-/// per-op activity popcounts entirely. Toggle/energy exactness is asserted
-/// outside the timing with a *counted* compiled pass at the interpreter's
-/// own lane count, where the accounting is bit-for-bit identical.
+/// per-op activity popcounts entirely. Toggle/energy exactness of every
+/// engine against a reference simulator is the test suite's job
+/// (tests/logic/test_tape.cpp).
 KernelResult compiled_exhaustive_kernel(const std::string& name,
                                         const axc::logic::Netlist& netlist,
                                         int reps) {
@@ -255,15 +254,15 @@ KernelResult compiled_exhaustive_kernel(const std::string& name,
 
   KernelResult result;
   result.name = name;
-  result.baseline = "64-lane BitslicedSimulator interpreter";
+  result.baseline = "64-lane counted BitslicedSimulator";
   result.engine = "compiled";
   result.vectors = total;
 
-  std::uint64_t interp_sum = 0;
+  std::uint64_t facade_sum = 0;
   std::uint64_t tape_sum = 0;
 
   result.baseline_ms = median_ms(reps, [&] {
-    BitslicedSimulator sim(netlist, SimEngine::Bitsliced);
+    BitslicedSimulator sim(netlist);
     std::uint64_t sum = 0;
     for (std::uint64_t base = 0; base < total;
          base += BitslicedSimulator::kLanes) {
@@ -272,7 +271,7 @@ KernelResult compiled_exhaustive_kernel(const std::string& name,
         sum += static_cast<std::uint64_t>(std::popcount(w));
       }
     }
-    interp_sum = sum;
+    facade_sum = sum;
     g_sink = sum;
   });
   result.optimized_ms = median_ms(reps, [&] {
@@ -289,47 +288,25 @@ KernelResult compiled_exhaustive_kernel(const std::string& name,
     tape_sum = sum;
     g_sink = sum;
   });
-  if (interp_sum != tape_sum) {
-    std::cerr << name << ": checksum mismatch (interpreter " << interp_sum
-              << " vs compiled tape " << tape_sum << ")\n";
-    std::exit(1);
-  }
-
-  // Exactness, outside the timing: at the interpreter's own lane count a
-  // counted compiled pass must match toggle-for-toggle and byte-for-byte
-  // in energy (same per-gate accumulation, same summation order).
-  BitslicedSimulator interp(netlist, SimEngine::Bitsliced);
-  BitslicedSimulator compiled(netlist, SimEngine::Compiled);
-  for (std::uint64_t base = 0; base < total;
-       base += BitslicedSimulator::kLanes) {
-    interp.apply_word_range(base, BitslicedSimulator::kLanes);
-    compiled.apply_word_range(base, BitslicedSimulator::kLanes);
-  }
-  for (std::size_t g = 0; g < netlist.gate_count(); ++g) {
-    if (interp.gate_toggles(g) != compiled.gate_toggles(g)) {
-      std::cerr << name << ": toggle mismatch at gate " << g << "\n";
-      std::exit(1);
-    }
-  }
-  if (interp.switched_energy_fj() != compiled.switched_energy_fj()) {
-    std::cerr << name << ": energy not byte-identical across engines\n";
+  if (facade_sum != tape_sum) {
+    std::cerr << name << ": checksum mismatch (64-lane facade " << facade_sum
+              << " vs wide tape " << tape_sum << ")\n";
     std::exit(1);
   }
   result.speedup = result.baseline_ms / result.optimized_ms;
   return result;
 }
 
-/// Bitsliced interpreter vs compiled wide-lane tape on independent random
-/// streams: the wide arm carries 512 streams through run_stream() in one
-/// engine; the interpreter carries the same 512 streams as eight sequential
-/// 64-lane groups (group g replays subword g of the wide stimulus, so every
-/// output word of the baseline equals subword g of the wide output and the
-/// plain word-sum checksums agree by construction). Exactness is asserted
-/// outside the timing twice: a counted wide run's per-gate toggles must
-/// equal the interpreter groups' toggles summed (integer-exact — wide lanes
-/// are just a different temporal pairing of the same per-lane streams), and
-/// one 64-lane group replayed through the compiled facade must match the
-/// interpreter byte-for-byte in energy.
+/// The 64-lane counted BitslicedSimulator facade vs the wide-lane functional
+/// tape on independent random streams: the wide arm carries 512 streams
+/// through run_stream() in one engine; the facade carries the same 512
+/// streams as eight sequential 64-lane groups (group g replays subword g
+/// of the wide stimulus, so every output word of the baseline equals
+/// subword g of the wide output and the plain word-sum checksums agree by
+/// construction). Outside the timing, a counted wide run's per-gate
+/// toggles must equal the facade groups' toggles summed (integer-exact —
+/// wide lanes are just a different temporal pairing of the same per-lane
+/// streams).
 KernelResult compiled_stream_kernel(const std::string& name,
                                     const axc::logic::Netlist& netlist,
                                     unsigned steps, int reps) {
@@ -345,11 +322,11 @@ KernelResult compiled_stream_kernel(const std::string& name,
 
   KernelResult result;
   result.name = name;
-  result.baseline = "64-lane BitslicedSimulator interpreter";
+  result.baseline = "64-lane counted BitslicedSimulator";
   result.engine = "compiled";
   result.vectors = static_cast<std::uint64_t>(steps) * kWideLanes;
 
-  std::uint64_t interp_sum = 0;
+  std::uint64_t facade_sum = 0;
   std::uint64_t tape_sum = 0;
 
   // Replays group `grp` (subword grp of every stimulus block) through a
@@ -369,10 +346,10 @@ KernelResult compiled_stream_kernel(const std::string& name,
   result.baseline_ms = median_ms(reps, [&] {
     std::uint64_t sum = 0;
     for (unsigned grp = 0; grp < kWideGroups; ++grp) {
-      BitslicedSimulator sim(netlist, SimEngine::Bitsliced);
+      BitslicedSimulator sim(netlist);
       sum += replay_group(sim, grp);
     }
-    interp_sum = sum;
+    facade_sum = sum;
     g_sink = sum;
   });
   std::vector<WideWord> out(static_cast<std::size_t>(steps) * n_out);
@@ -387,18 +364,18 @@ KernelResult compiled_stream_kernel(const std::string& name,
     tape_sum = sum;
     g_sink = sum;
   });
-  if (interp_sum != tape_sum) {
-    std::cerr << name << ": checksum mismatch (interpreter " << interp_sum
-              << " vs compiled tape " << tape_sum << ")\n";
+  if (facade_sum != tape_sum) {
+    std::cerr << name << ": checksum mismatch (64-lane facade " << facade_sum
+              << " vs wide tape " << tape_sum << ")\n";
     std::exit(1);
   }
 
-  // Exactness, outside the timing.
+  // Wide-lane toggle exactness, outside the timing.
   axc::logic::TapeSimulator<WideWord> counted(netlist);  // counting on
   counted.run_stream(stimulus, out);
   std::vector<std::uint64_t> grouped_toggles(netlist.gate_count(), 0);
   for (unsigned grp = 0; grp < kWideGroups; ++grp) {
-    BitslicedSimulator sim(netlist, SimEngine::Bitsliced);
+    BitslicedSimulator sim(netlist);
     replay_group(sim, grp);
     for (std::size_t g = 0; g < netlist.gate_count(); ++g) {
       grouped_toggles[g] += sim.gate_toggles(g);
@@ -409,63 +386,6 @@ KernelResult compiled_stream_kernel(const std::string& name,
       std::cerr << name << ": wide-lane toggle mismatch at gate " << g << "\n";
       std::exit(1);
     }
-  }
-  BitslicedSimulator interp0(netlist, SimEngine::Bitsliced);
-  BitslicedSimulator compiled0(netlist, SimEngine::Compiled);
-  replay_group(interp0, 0);
-  replay_group(compiled0, 0);
-  if (interp0.switched_energy_fj() != compiled0.switched_energy_fj()) {
-    std::cerr << name << ": energy not byte-identical across engines\n";
-    std::exit(1);
-  }
-  result.speedup = result.baseline_ms / result.optimized_ms;
-  return result;
-}
-
-/// The SAD accelerator's batched path, interpreter vs compiled facade — the
-/// end-to-end consumer view of the engine switch. Both arms run the full
-/// counted accounting (NetlistSad always reports energy), so the speedup
-/// here is the counted-mode one, smaller than the functional kernels above;
-/// no floor is asserted. Outputs and switched energy must match exactly.
-KernelResult compiled_sad_kernel(const axc::accel::SadConfig& config,
-                                 int search_range, int reps) {
-  const axc::accel::NetlistSad interp(config, SimEngine::Bitsliced);
-  const axc::accel::NetlistSad compiled(config, SimEngine::Compiled);
-  const std::size_t bp = config.block_pixels;
-  const std::size_t window = static_cast<std::size_t>(2 * search_range + 1) *
-                             (2 * search_range + 1);
-
-  axc::Rng rng(0x5ADC);
-  std::vector<std::uint8_t> a(bp);
-  for (auto& px : a) px = static_cast<std::uint8_t>(rng.bits(8));
-  std::vector<std::uint8_t> candidates(window * bp);
-  for (auto& px : candidates) px = static_cast<std::uint8_t>(rng.bits(8));
-
-  KernelResult result;
-  result.name = "sad window compiled";
-  result.baseline = "NetlistSad::sad_batch (bitsliced interpreter)";
-  result.engine = "compiled";
-  result.vectors = window;
-
-  std::vector<std::uint64_t> interp_out(window);
-  std::vector<std::uint64_t> compiled_out(window);
-  result.baseline_ms = median_ms(reps, [&] {
-    interp.sad_batch(a, candidates, interp_out);
-    g_sink = interp_out.back();
-  });
-  result.optimized_ms = median_ms(reps, [&] {
-    compiled.sad_batch(a, candidates, compiled_out);
-    g_sink = compiled_out.back();
-  });
-  if (interp_out != compiled_out) {
-    std::cerr << result.name << ": compiled/interpreter result mismatch\n";
-    std::exit(1);
-  }
-  // Both facades ran the identical stimulus sequence the same number of
-  // times, so the exact accounting must agree to the byte.
-  if (interp.switched_energy_fj() != compiled.switched_energy_fj()) {
-    std::cerr << result.name << ": energy not byte-identical across engines\n";
-    std::exit(1);
   }
   result.speedup = result.baseline_ms / result.optimized_ms;
   return result;
@@ -649,18 +569,17 @@ KernelResult service_throughput_kernel(unsigned workers, bool smoke,
   return result;
 }
 
-/// Sustained throughput and tail latency at high connection counts: the
-/// thread-per-connection TcpServer (one OS thread per peer) vs the epoll
-/// ReactorServer (every peer on one loop). The baseline arm runs serial
-/// depth-1 roundtrips — the only mode legacy framing supports; the
-/// reactor arm runs multiplexed clients at pipeline depth \p depth. Both
-/// arms push the same ping workload over the same number of connections
-/// from the same client-thread budget, and every response is checked
-/// byte-identical to the loopback answer, so the ratio isolates transport
-/// overhead (thread context switches vs epoll dispatch) plus pipelining —
-/// not different work. Per-request latency: the wall time of its
-/// roundtrip (depth 1) or of its whole submit-all/collect-all batch
-/// (pipelined — what a batch caller actually waits).
+/// Sustained throughput and tail latency at high connection counts, both
+/// arms on a fresh epoll ReactorServer (every peer on one loop). The
+/// baseline arm runs serial depth-1 roundtrips — the only mode legacy
+/// framing supports; the optimized arm runs multiplexed clients at
+/// pipeline depth \p depth. Both arms push the same ping workload over the
+/// same number of connections from the same client-thread budget, and
+/// every response is checked byte-identical to the loopback answer, so the
+/// ratio isolates what pipelining buys — not different work. Per-request
+/// latency: the wall time of its roundtrip (depth 1) or of its whole
+/// submit-all/collect-all batch (pipelined — what a batch caller actually
+/// waits).
 KernelResult service_concurrency_kernel(std::size_t conns, unsigned depth,
                                         std::size_t per_conn, int reps) {
   namespace svc = axc::service;
@@ -676,7 +595,7 @@ KernelResult service_concurrency_kernel(std::size_t conns, unsigned depth,
   }
 
   svc::ServerOptions options;
-  options.workers = 2;  // fixed pool: the bench varies transports, not compute
+  options.workers = 2;  // fixed pool: the arms vary client mode, not compute
   options.queue_capacity = conns * depth;  // admission never the bottleneck
 
   const std::size_t drivers = std::min<std::size_t>(4, conns);
@@ -734,31 +653,9 @@ KernelResult service_concurrency_kernel(std::size_t conns, unsigned depth,
     return samples[(samples.size() - 1) * 99 / 100];
   };
 
-  KernelResult result;
-  result.name = "service_concurrency conns=" + std::to_string(conns);
-  result.baseline = "thread-per-connection TcpServer, serial depth 1";
-  result.engine = "reactor depth " + std::to_string(depth);
-  result.vectors = static_cast<std::uint64_t>(conns) * per_conn;
-  result.baseline_threads = options.workers;
-  result.optimized_threads = options.workers;
-
-  {
-    svc::Server server(options);
-    svc::TcpServer tcp(server, {});
-    std::vector<std::unique_ptr<svc::TcpConnection>> held;
-    held.reserve(conns);
-    for (std::size_t i = 0; i < conns; ++i) {
-      held.push_back(
-          std::make_unique<svc::TcpConnection>("127.0.0.1", tcp.port()));
-    }
-    latencies.clear();
-    result.baseline_ms = median_ms(reps, [&] { storm(held, 1); });
-    result.baseline_p99_ms = p99(latencies);
-    held.clear();
-    tcp.stop();
-    server.stop();
-  }
-  {
+  // One arm: a fresh server and reactor, `conns` connections in the given
+  // client mode, `reps` storms at depth d. Returns the median storm time.
+  const auto arm = [&](bool multiplex, unsigned d, double& p99_ms) {
     svc::Server server(options);
     svc::ReactorServer reactor(server, {});
     std::vector<std::unique_ptr<svc::TcpConnection>> held;
@@ -766,15 +663,26 @@ KernelResult service_concurrency_kernel(std::size_t conns, unsigned depth,
     for (std::size_t i = 0; i < conns; ++i) {
       held.push_back(std::make_unique<svc::TcpConnection>(
           "127.0.0.1", reactor.port(),
-          svc::TcpConnectionOptions{.multiplex = true}));
+          svc::TcpConnectionOptions{.multiplex = multiplex}));
     }
     latencies.clear();
-    result.optimized_ms = median_ms(reps, [&] { storm(held, depth); });
-    result.optimized_p99_ms = p99(latencies);
+    const double ms = median_ms(reps, [&] { storm(held, d); });
+    p99_ms = p99(latencies);
     held.clear();
     reactor.stop();
     server.stop();
-  }
+    return ms;
+  };
+
+  KernelResult result;
+  result.name = "service_concurrency conns=" + std::to_string(conns);
+  result.baseline = "reactor, serial legacy clients, depth 1";
+  result.engine = "reactor depth " + std::to_string(depth);
+  result.vectors = static_cast<std::uint64_t>(conns) * per_conn;
+  result.baseline_threads = options.workers;
+  result.optimized_threads = options.workers;
+  result.baseline_ms = arm(false, 1, result.baseline_p99_ms);
+  result.optimized_ms = arm(true, depth, result.optimized_p99_ms);
   result.speedup = result.baseline_ms / result.optimized_ms;
   return result;
 }
@@ -1098,13 +1006,13 @@ int main(int argc, char** argv) {
 
   std::vector<KernelResult> kernels;
 
-  // Bitsliced vs scalar: exhaustive sweep of an 8x8 Wallace multiplier
+  // 64-lane vs scalar: exhaustive sweep of an 8x8 Wallace multiplier
   // (16 inputs, 65536 vectors, ~500 gates).
   kernels.push_back(exhaustive_kernel(
       "wallace8x8 exhaustive",
       axc::logic::wallace_netlist(8, FullAdderKind::Accurate, 0), reps));
 
-  // Bitsliced vs scalar: random streams through a 16-bit ripple adder
+  // 64-lane vs scalar: random streams through a 16-bit ripple adder
   // (32 inputs — past the apply_word limit, so lane streams).
   {
     const auto model = axc::arith::RippleAdder::lsb_approximated(
@@ -1115,8 +1023,8 @@ int main(int argc, char** argv) {
         reps));
   }
 
-  // Compiled tape engine vs the bitsliced interpreter, same two netlist
-  // workloads at 512 lanes. Non-smoke runs assert the >=4x floor on both.
+  // Wide functional tape (512 lanes) vs the 64-lane counted facade, same
+  // two netlist workloads. Non-smoke runs assert the >=4x floor on both.
   kernels.push_back(compiled_exhaustive_kernel(
       "wallace8x8 exhaustive compiled",
       axc::logic::wallace_netlist(8, FullAdderKind::Accurate, 0), reps));
@@ -1131,13 +1039,9 @@ int main(int argc, char** argv) {
 
   // Batched vs per-candidate netlist SAD: one 8x8-block full-search window
   // (range 4 -> 81 candidates) through the packed 64-lane engine vs 81
-  // scalar gate-list passes.
+  // scalar gate passes.
   kernels.push_back(
       sad_window_kernel(axc::accel::accu_sad(64), 4, reps));
-
-  // The same batched SAD window, interpreter vs compiled facade (counted
-  // mode on both sides — the consumer-visible engine-switch speedup).
-  kernels.push_back(compiled_sad_kernel(axc::accel::accu_sad(64), 4, reps));
 
   // Thread scaling: sampled GeAr evaluation, 1 thread vs all hardware
   // threads. On a multicore box this approaches linear scaling; the JSON
@@ -1161,10 +1065,10 @@ int main(int argc, char** argv) {
   // payload; nondeterminism aborts).
   kernels.push_back(design_space_sweep_kernel(hw, smoke, reps));
 
-  // Reactor vs thread-per-connection transport at increasing connection
-  // counts, pipeline depth 8 on the reactor arm. Fewer reps: each rep is a
-  // full request storm over hundreds of sockets. Non-smoke runs assert the
-  // >=2x floor at the top connection count.
+  // Serial legacy clients vs multiplexed clients at pipeline depth 8, both
+  // on the reactor, at increasing connection counts. Fewer reps: each rep
+  // is a full request storm over hundreds of sockets. Non-smoke runs
+  // assert the >=2x floor at the top connection count.
   {
     const std::vector<std::size_t> conn_counts =
         smoke ? std::vector<std::size_t>{8, 32}
@@ -1186,8 +1090,8 @@ int main(int argc, char** argv) {
 
   write_json(out_path, kernels, obs_overhead, smoke, hw);
 
-  // Performance floors for the compiled engine (full runs only: smoke reps
-  // and workloads are too small for stable ratios).
+  // Performance floors (full runs only: smoke reps and workloads are too
+  // small for stable ratios).
   if (!smoke) {
     for (const KernelResult& k : kernels) {
       if ((k.name == "wallace8x8 exhaustive compiled" ||
@@ -1197,8 +1101,8 @@ int main(int argc, char** argv) {
                   << "x is below the 4x floor\n";
         return 1;
       }
-      // The reactor must beat thread-per-connection by >=2x at the top
-      // connection count (the crowd that drowns a thread-per-peer design).
+      // Pipelined mux clients must beat serial legacy clients by >=2x at
+      // the top connection count.
       if (k.name == "service_concurrency conns=256" && k.speedup < 2.0) {
         std::cerr << "perf_kernels: " << k.name << " speedup " << k.speedup
                   << "x is below the 2x floor\n";

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Service smoke: start axc_server on an ephemeral loopback port, issue one
-# query per endpoint through axc_client, then shut down gracefully and
-# check that the server drained and wrote its obs run report.
+# query per endpoint through axc_client, pipeline over one multiplexed
+# connection and hold 256 idle ones, then shut down gracefully and check
+# that the server drained and wrote its obs run report. Then the chaos
+# cases (a kill mid-request, a retry across a restart) and a 4-node ring.
 #
 # Usage: scripts/service_smoke.sh <build_dir>
 set -euo pipefail
@@ -16,7 +18,7 @@ server2_pid=""
 ring_pids=""
 trap 'kill "$server_pid" "$server2_pid" $ring_pids 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
-"$server" --port 0 --port-file "$workdir/port" \
+"$server" --port 0 --workers 2 --port-file "$workdir/port" \
   --allow-remote-shutdown --report "$workdir/report.json" \
   >"$workdir/server.log" 2>&1 &
 server_pid=$!
@@ -55,14 +57,46 @@ if "$client" --port "$port" characterize-adder --width banana \
   echo "expected a usage error for a malformed width"; exit 1
 fi
 
+# Pipelining + many idle connections: the epoll reactor accepts
+# multiplexed pipelined clients and holds hundreds of idle connections
+# without spawning a thread per peer.
+run pipeline --count 32 | grep -q "pipelined=32 collected=reverse ok"
+
+# Hold 256 idle connections open and check the server's thread count stays
+# bounded: one reactor thread plus the workers, so threads ~= workers + 1,
+# and must not scale with connections.
+"$client" --port "$port" hold --connections 256 --hold-ms 2000 \
+  >"$workdir/hold.out" 2>&1 &
+client_pid=$!
+for _ in $(seq 1 100); do
+  grep -q "holding=256" "$workdir/hold.out" 2>/dev/null && break
+  sleep 0.1
+done
+threads=$(grep -E '^Threads:' "/proc/$server_pid/status" | awk '{print $2}')
+echo "server holds 256 connections with $threads threads"
+[[ "$threads" -le 16 ]] || {
+  echo "thread count $threads is not bounded (expected <= 16)"; exit 1; }
+wait "$client_pid" || { echo "hold client failed"; cat "$workdir/hold.out"; exit 1; }
+grep -q "held=256 ok" "$workdir/hold.out"
+
 run shutdown | grep -q "shutdown acknowledged"
 
-# Graceful drain: the server process must exit 0 and write its obs report.
+# Graceful drain: the server process must exit 0 and write its obs report,
+# with per-endpoint counters and the reactor's connection counters.
 wait "$server_pid"
 server_pid=""
 grep -q '"service.requests"' "$workdir/report.json"
 grep -q '"service.ping.requests"' "$workdir/report.json"
-echo "service smoke OK (report has per-endpoint counters)"
+grep -q '"service.reactor.connections_accepted"' "$workdir/report.json"
+grep -q '"service.reactor.frames_in"' "$workdir/report.json"
+accepted=$(grep -o '"service.reactor.connections_accepted"[^,}]*' \
+  "$workdir/report.json" | grep -o '[0-9]*$')
+[[ "$accepted" -ge 256 ]] || {
+  echo "expected >=256 accepted connections in the report, got $accepted"
+  exit 1; }
+echo "service smoke OK (every endpoint, pipelined client, 256 idle" \
+  "connections on bounded threads, per-endpoint and reactor counters in" \
+  "report)"
 
 # --- Chaos case 1: server killed mid-request -> typed transport error ----
 "$server" --port 0 --port-file "$workdir/port2" --allow-remote-shutdown \
@@ -117,61 +151,6 @@ grep -q "retr" "$workdir/retry.err" || {
 wait "$server2_pid"
 server2_pid=""
 echo "service smoke OK (typed mid-request failure + retry across restart)"
-
-# --- Reactor transport: pipelining + many idle connections ---------------
-# The epoll reactor serves every endpoint, accepts multiplexed pipelined
-# clients, and holds hundreds of idle connections without spawning a
-# thread per peer (bounded thread count, reactor obs counters in the
-# shutdown report).
-"$server" --transport reactor --port 0 --port-file "$workdir/port4" \
-  --workers 2 --allow-remote-shutdown --report "$workdir/report4.json" \
-  >"$workdir/server4.log" 2>&1 &
-server2_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$workdir/port4" ]] && break
-  sleep 0.1
-done
-[[ -s "$workdir/port4" ]] || { echo "reactor server never published"; exit 1; }
-port4=$(cat "$workdir/port4")
-echo "axc_server (reactor) up on port $port4"
-
-run4() { echo "+ axc_client $*"; "$client" --port "$port4" "$@"; }
-
-run4 ping | grep -q pong
-run4 characterize-adder --family gear --width 8 --param-a 2 --param-b 2 \
-  | grep -q area_ge=
-run4 pipeline --count 32 | grep -q "pipelined=32 collected=reverse ok"
-
-# Hold 256 idle connections open and check the server's thread count stays
-# bounded: reactor + acceptorless design means threads ~= workers + 1, and
-# must not scale with connections (the thread-per-connection transport
-# would sit at ~256 here).
-"$client" --port "$port4" hold --connections 256 --hold-ms 2000 \
-  >"$workdir/hold.out" 2>&1 &
-client_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "holding=256" "$workdir/hold.out" 2>/dev/null && break
-  sleep 0.1
-done
-threads=$(grep -E '^Threads:' "/proc/$server2_pid/status" | awk '{print $2}')
-echo "reactor server holds 256 connections with $threads threads"
-[[ "$threads" -le 16 ]] || {
-  echo "thread count $threads is not bounded (expected <= 16)"; exit 1; }
-wait "$client_pid" || { echo "hold client failed"; cat "$workdir/hold.out"; exit 1; }
-grep -q "held=256 ok" "$workdir/hold.out"
-
-run4 shutdown | grep -q "shutdown acknowledged"
-wait "$server2_pid"
-server2_pid=""
-grep -q '"service.reactor.connections_accepted"' "$workdir/report4.json"
-grep -q '"service.reactor.frames_in"' "$workdir/report4.json"
-accepted=$(grep -o '"service.reactor.connections_accepted"[^,}]*' \
-  "$workdir/report4.json" | grep -o '[0-9]*$')
-[[ "$accepted" -ge 256 ]] || {
-  echo "expected >=256 accepted connections in the report, got $accepted"
-  exit 1; }
-echo "service smoke OK (reactor: pipelined client + 256 idle connections," \
-  "bounded threads, reactor counters in report)"
 
 # --- Cluster ring: 4 nodes, replication, node kill -----------------------
 # Four ring nodes on ephemeral ports (the ring file is written after they

@@ -47,10 +47,6 @@ class NetlistSad final : public SadUnit {
  public:
   explicit NetlistSad(const SadConfig& config);
 
-  /// Pins the simulation engine (A/B benches; the default ctor follows
-  /// logic::default_sim_engine()).
-  NetlistSad(const SadConfig& config, logic::SimEngine engine);
-
   const SadConfig& config() const { return config_; }
 
   unsigned block_pixels() const override { return config_.block_pixels; }

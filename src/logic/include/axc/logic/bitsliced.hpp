@@ -2,46 +2,32 @@
 /// 64-lane bitsliced (SWAR) netlist simulation.
 ///
 /// Every net holds a std::uint64_t word whose bit k is lane k's logic
-/// value, so a single pass over the (topologically ordered) gate list
+/// value, so a single pass over the (topologically ordered) gates
 /// evaluates 64 stimulus vectors at once using nothing but bitwise ops
 /// (eval_cell_word). Toggle counting stays exact: per gate, the toggles of
 /// one step are popcount(old_word ^ new_word) restricted to the active
 /// lanes, i.e. each lane carries its own independent stimulus stream and
 /// contributes its own transitions. Simulating L lanes for T steps is
 /// therefore bit-identical — outputs, per-gate toggle counts and
-/// switched_energy_fj() — to running L scalar Simulators, lane k fed the
-/// bit-k stream (asserted by tests/logic/test_bitsliced.cpp).
+/// switched_energy_fj() — to running L scalar simulations, lane k fed the
+/// bit-k stream (asserted against a per-gate reference simulator in
+/// tests/logic/test_bitsliced.cpp and test_tape.cpp).
 ///
-/// The scalar Simulator in simulator.hpp is a thin 1-lane wrapper around
-/// this class.
-///
-/// Since PR 7 this class is a facade over two engines selected at
-/// construction (default: AXC_ENGINE / default_sim_engine()): the original
-/// per-gate interpreter loop, and the compiled straight-line tape
-/// (tape.hpp / tape_engine.hpp) which eliminates per-cell dispatch. Both
-/// engines produce byte-identical observable state — outputs, toggles,
-/// transition pairs, switched energy — so every consumer picks up the
-/// compiled engine with no call-site changes.
+/// BitslicedSimulator is the observable facade of the compiled tape engine
+/// TapeSimulator<std::uint64_t> (tape.hpp / tape_engine.hpp): it checks
+/// its arguments, records the logic.sim.* instruments, and forwards every
+/// pass to the engine, which owns the lane discipline. The scalar
+/// Simulator in simulator.hpp is a thin 1-lane wrapper around this class.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "axc/logic/netlist.hpp"
-#include "axc/logic/tape.hpp"
+#include "axc/logic/tape_engine.hpp"
 
 namespace axc::logic {
-
-/// Packs counting stimulus into lane words: lane k of the result carries
-/// the bits of input word `base + k`. words[i] receives the lane-packed
-/// value of primary input i (for i < num_inputs <= 64). Only the low
-/// \p lanes lanes are meaningful. When base is 64-aligned and all 64 lanes
-/// are requested this is six constant patterns plus sign fills — the
-/// standard SWAR enumeration trick.
-void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
-                         unsigned lanes, std::span<std::uint64_t> words);
 
 /// Evaluates a Netlist over 64 stimulus lanes per pass and accumulates
 /// per-gate toggle counts, exactly like Simulator but one word at a time.
@@ -59,8 +45,7 @@ class BitslicedSimulator {
   /// Lanes per simulation word.
   static constexpr unsigned kLanes = 64;
 
-  explicit BitslicedSimulator(const Netlist& netlist,
-                              SimEngine engine = default_sim_engine());
+  explicit BitslicedSimulator(const Netlist& netlist);
 
   /// Applies one packed stimulus word per primary input (input_words[i]
   /// bit k = lane k's value of input i, in the order of Netlist::inputs())
@@ -81,47 +66,34 @@ class BitslicedSimulator {
   std::uint64_t lane_output(unsigned lane) const;
 
   /// Total lane-vectors applied since construction / reset_activity().
-  std::uint64_t vectors_applied() const { return vectors_applied_; }
+  std::uint64_t vectors_applied() const { return engine_.vectors_applied(); }
 
   /// Number of (vector, predecessor) pairs that contributed to toggle
   /// accounting — vectors_applied() minus one baseline vector per lane
   /// ever active in this window. This is the denominator for
   /// energy-per-vector power estimates.
-  std::uint64_t transition_pairs() const { return transition_pairs_; }
+  std::uint64_t transition_pairs() const {
+    return engine_.transition_pairs();
+  }
 
   /// Total output toggles of gate \p gate_index, summed over all lanes.
-  /// (The compiled engine accumulates counters in tape order; this
-  /// accessor translates back to gate order, so both engines agree.)
   std::uint64_t gate_toggles(std::size_t gate_index) const {
-    if (engine_ == SimEngine::Compiled) {
-      return gate_toggles_.at(tape_->op_of_gate.at(gate_index));
-    }
-    return gate_toggles_.at(gate_index);
+    return engine_.gate_toggles(gate_index);
   }
 
   /// Switching energy accumulated so far, in femtojoules: for every gate,
   /// toggles x per-cell energy. Exact — lane packing loses no transitions.
-  double switched_energy_fj() const;
+  double switched_energy_fj() const { return engine_.switched_energy_fj(); }
 
   /// Clears toggle counts and the vector counters (net state persists).
-  void reset_activity();
+  void reset_activity() { engine_.reset_activity(); }
 
   const Netlist& netlist() const { return netlist_; }
 
-  /// Which engine executes the gate pass (fixed at construction).
-  SimEngine engine() const { return engine_; }
-
  private:
   const Netlist& netlist_;
-  SimEngine engine_;
-  std::shared_ptr<const Tape> tape_;  ///< null when engine_ == Bitsliced
-  std::vector<std::uint64_t> net_word_;
-  std::vector<std::uint64_t> gate_toggles_;
-  std::vector<std::uint64_t> out_words_;
+  TapeSimulator<std::uint64_t> engine_;
   std::vector<std::uint64_t> in_scratch_;
-  std::uint64_t vectors_applied_ = 0;
-  std::uint64_t transition_pairs_ = 0;
-  std::uint64_t baselined_lanes_ = 0;  ///< bit k = lane k has a baseline
 };
 
 }  // namespace axc::logic

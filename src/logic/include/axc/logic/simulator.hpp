@@ -29,8 +29,7 @@ namespace axc::logic {
 /// designs and therefore preserves relative comparisons.
 class Simulator {
  public:
-  explicit Simulator(const Netlist& netlist,
-                     SimEngine engine = default_sim_engine());
+  explicit Simulator(const Netlist& netlist);
 
   /// Applies one input vector (one bit per primary input, in the order of
   /// Netlist::inputs()) and returns the primary-output bits.

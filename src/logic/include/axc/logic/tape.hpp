@@ -1,18 +1,18 @@
 /// \file tape.hpp
 /// Netlist -> straight-line tape compilation.
 ///
-/// The bitsliced interpreter (bitsliced.hpp) walks the gate list and
-/// dispatches on the cell type of every gate of every pass — for the
-/// workloads this repo serves (exhaustive characterization, error sweeps,
-/// SAD batches, the service cold path) that per-cell branch is paid
-/// millions of times per netlist. compile_netlist() pays it once: the cell
-/// DAG is levelized (topological order over validated structure), ops are
-/// sorted so equal cell types become contiguous runs, and the whole
-/// netlist is emitted as a flat tape of word ops. Execution
-/// (tape_engine.hpp) is then one tight loop per run with the cell function
-/// inlined — no per-op switch, no virtual dispatch — over
-/// structure-of-arrays lane storage whose word width is a compile-time
-/// parameter (std::uint64_t now, LaneBlock<N> SWAR blocks for >64 lanes).
+/// A gate-list interpreter dispatches on the cell type of every gate of
+/// every pass — for the workloads this repo serves (exhaustive
+/// characterization, error sweeps, SAD batches, the service cold path)
+/// that per-cell branch would be paid millions of times per netlist.
+/// compile_netlist() pays it once: the cell DAG is levelized (topological
+/// order over validated structure), ops are sorted so equal cell types
+/// become contiguous runs, and the whole netlist is emitted as a flat tape
+/// of word ops. Execution (tape_engine.hpp) is then one tight loop per run
+/// with the cell function inlined — no per-op switch, no virtual dispatch
+/// — over structure-of-arrays lane storage whose word width is a
+/// compile-time parameter (std::uint64_t for the 64-lane
+/// BitslicedSimulator facade, LaneBlock<N> SWAR blocks for >64 lanes).
 ///
 /// Levelization doubles as structural validation: combinational cycles and
 /// dangling cell inputs — expressible through Netlist::from_parts, never
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "axc/logic/cell.hpp"
@@ -67,11 +68,10 @@ struct Tape {
   std::vector<TapeRun> runs;
   /// Gate index (Netlist::gates() order) -> op index. Toggle counters are
   /// accumulated per op in tape order (sequential writes); this is the map
-  /// back to the interpreter's per-gate view.
+  /// back to the per-gate view.
   std::vector<std::uint32_t> op_of_gate;
-  /// Per-gate switching energy (gate order) — lets engines reproduce
-  /// BitslicedSimulator::switched_energy_fj() with the exact same
-  /// floating-point summation order, hence byte-identical totals.
+  /// Per-gate switching energy (gate order) — engines sum toggles x energy
+  /// in gate order, so every lane width yields byte-identical totals.
   std::vector<double> gate_energy_fj;
   std::vector<std::uint32_t> input_slots;      ///< Netlist::inputs()
   std::vector<std::uint32_t> output_slots;     ///< Netlist::outputs()
@@ -116,19 +116,13 @@ CompileCacheStats compile_cache_stats();
 /// their shared_ptr-held tapes alive independently).
 void clear_compile_cache();
 
-/// Which execution engine a BitslicedSimulator uses for its gate pass.
-enum class SimEngine {
-  Compiled,   ///< straight-line tape (compile_netlist + tape_engine.hpp)
-  Bitsliced,  ///< the per-gate dispatch interpreter loop
-};
-
-const char* to_string(SimEngine engine);
-
-/// Process-default engine: the AXC_ENGINE environment variable at first
-/// use ("compiled" | "bitsliced"; anything else throws), Compiled when
-/// unset. set_default_sim_engine overrides for the rest of the process
-/// (A/B benches and the equivalence tests flip it).
-SimEngine default_sim_engine();
-void set_default_sim_engine(SimEngine engine);
+/// Packs counting stimulus into lane words: lane k of the result carries
+/// the bits of input word `base + k`. words[i] receives the lane-packed
+/// value of primary input i (for i < num_inputs <= 64). Only the low
+/// \p lanes lanes (1..64) are meaningful. When base is 64-aligned and all
+/// 64 lanes are requested this is six constant patterns plus sign fills —
+/// the standard SWAR enumeration trick.
+void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
+                         unsigned lanes, std::span<std::uint64_t> words);
 
 }  // namespace axc::logic

@@ -12,15 +12,14 @@
 /// sub-words autovectorizes). Toggle accounting stays exact at any width:
 /// per op, popcount((new ^ old) & counted_mask) accumulates into a per-op
 /// counter (sequential writes in tape order); Tape::op_of_gate maps the
-/// counters back to the interpreter's per-gate view and
-/// Tape::gate_energy_fj reproduces its energy summation order, so totals
-/// are byte-identical, not merely close.
+/// counters back to the per-gate view and Tape::gate_energy_fj fixes the
+/// energy summation order, so totals are byte-identical, not merely close.
 ///
-/// TapeSimulator<Word> is the standalone wide engine with the same lane
-/// discipline as BitslicedSimulator (per-lane baselines, masked stimulus
-/// merge, shrink/grow-safe). BitslicedSimulator itself executes through
-/// execute_tape() when constructed with SimEngine::Compiled — same 64-lane
-/// packing, same observability, zero call-site changes for consumers.
+/// TapeSimulator<Word> owns the lane discipline (per-lane baselines,
+/// masked stimulus merge, shrink/grow-safe toggle accounting), once, for
+/// every width. BitslicedSimulator (bitsliced.hpp) is the observable
+/// 64-lane facade over TapeSimulator<std::uint64_t> that every consumer
+/// uses.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "axc/common/require.hpp"
-#include "axc/logic/bitsliced.hpp"  // pack_counting_lanes
 #include "axc/logic/netlist.hpp"
 #include "axc/logic/tape.hpp"
 
@@ -214,18 +212,19 @@ inline void execute_tape(const Tape& tape, Word* slots,
 
 }  // namespace detail
 
-/// Wide straight-line tape engine: BitslicedSimulator's lane discipline
-/// (per-lane baselines, masked stimulus merge, shrink/grow-exact toggle
-/// accounting — see bitsliced.hpp) generalized to 64*N lanes per pass.
-/// With Word = std::uint64_t and identical per-lane stimulus streams, all
-/// observable state — outputs, per-gate toggles, transition pairs,
-/// switched energy — is byte-identical to BitslicedSimulator; wider Words
-/// pack more concurrent streams per pass (a different, equally exact,
-/// temporal pairing of vectors into lanes).
+/// Straight-line tape engine with 64*N lanes per pass. Lane discipline:
+/// each lane's first active vector within an activity window is a
+/// per-lane baseline (state, no transitions); inactive lanes keep their
+/// previous input values under a masked merge, so their nets re-evaluate
+/// to exactly the state they last held while active and shrink/grow lane
+/// patterns stay toggle-exact. Every lane is one independent stimulus
+/// stream, so outputs, per-gate toggles, transition pairs and switched
+/// energy equal those of per-lane scalar simulation; wider Words pack
+/// more concurrent streams per pass (a different, equally exact, temporal
+/// pairing of vectors into lanes).
 ///
-/// Unlike the BitslicedSimulator facade this class records no obs
-/// instruments in the hot path — it is the raw engine; the facade is the
-/// observable entry point.
+/// This class records no obs instruments in the hot path — it is the raw
+/// engine; BitslicedSimulator is the observable 64-lane entry point.
 template <typename Word = std::uint64_t>
 class TapeSimulator {
  public:
@@ -247,8 +246,10 @@ class TapeSimulator {
     }
   }
 
-  /// One packed stimulus word per primary input; semantics of
-  /// BitslicedSimulator::apply_lanes at kLanes width.
+  /// One packed stimulus word per primary input (input_words[i] lane k =
+  /// lane k's value of input i); returns one packed word per primary
+  /// output, valid until the next pass. Only the low \p lanes lanes are
+  /// active.
   std::span<const Word> apply_lanes(std::span<const Word> input_words,
                                     unsigned lanes = kLanes) {
     const auto& input_slots = tape_->input_slots;
@@ -265,7 +266,7 @@ class TapeSimulator {
     } else {
       // Masked merge: inactive lanes keep their previous input values so
       // their nets re-evaluate to exactly the state they last held while
-      // active (same invariant as the interpreter facade).
+      // active (the netlist is combinational and the tape topological).
       for (std::size_t i = 0; i < input_slots.size(); ++i) {
         slots_[input_slots[i]] = (slots_[input_slots[i]] & ~lane_mask) |
                                  (input_words[i] & lane_mask);
@@ -363,12 +364,10 @@ class TapeSimulator {
   /// pure functional evaluation: outputs and net state are exactly the
   /// ones a counted run would produce, but no toggle counters, transition
   /// pairs, or baselines are maintained — the per-op xor/popcount/
-  /// accumulate work disappears from the hot loop. This is the engine's
-  /// structural advantage over the interpreter (which always counts once
-  /// lanes are baselined): consumers that never read toggles — error
-  /// evaluation, output enumeration, batched SAD search — stop paying for
-  /// activity accounting. Equivalent to running counted and calling
-  /// reset_activity() afterwards, minus the cost.
+  /// accumulate work disappears from the hot loop, so consumers that never
+  /// read toggles — error evaluation, output enumeration, batched SAD
+  /// search — stop paying for activity accounting. Equivalent to running
+  /// counted and calling reset_activity() afterwards, minus the cost.
   void set_counting(bool on) { counting_ = on; }
   bool counting() const { return counting_; }
 
@@ -381,8 +380,9 @@ class TapeSimulator {
     return op_toggles_.at(tape_->op_of_gate.at(gate_index));
   }
 
-  /// Switching energy in femtojoules, summed in gate order with the exact
-  /// floating-point association of BitslicedSimulator::switched_energy_fj.
+  /// Switching energy in femtojoules: toggles x per-cell energy, summed in
+  /// Netlist::gates() order (a fixed floating-point association, so every
+  /// lane width reports byte-identical totals).
   double switched_energy_fj() const {
     double energy = 0.0;
     const auto& op_of_gate = tape_->op_of_gate;

@@ -17,8 +17,8 @@ void count_scalar_call() {
 
 }  // namespace
 
-Simulator::Simulator(const Netlist& netlist, SimEngine engine)
-    : core_(netlist, engine), in_words_(netlist.inputs().size(), 0) {}
+Simulator::Simulator(const Netlist& netlist)
+    : core_(netlist), in_words_(netlist.inputs().size(), 0) {}
 
 std::vector<unsigned> Simulator::apply(std::span<const unsigned> input_bits) {
   require(input_bits.size() == in_words_.size(),

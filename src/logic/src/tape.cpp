@@ -1,13 +1,12 @@
 #include "axc/logic/tape.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <string>
 #include <unordered_map>
 
+#include "axc/common/bits.hpp"
 #include "axc/common/require.hpp"
 #include "axc/obs/obs.hpp"
 
@@ -113,19 +112,13 @@ std::shared_ptr<const Tape> build_tape(const Netlist& netlist) {
   return tape;
 }
 
-/// -1 = consult AXC_ENGINE lazily; otherwise a latched SimEngine value.
-std::atomic<int> g_engine{-1};
-
-SimEngine engine_from_env() {
-  const char* value = std::getenv("AXC_ENGINE");
-  if (value == nullptr || *value == '\0') return SimEngine::Compiled;
-  const std::string text(value);
-  if (text == "compiled") return SimEngine::Compiled;
-  if (text == "bitsliced") return SimEngine::Bitsliced;
-  AXC_REQUIRE(false, "AXC_ENGINE must be 'compiled' or 'bitsliced', got '" +
-                         text + "'");
-  return SimEngine::Compiled;  // unreachable
-}
+// Lane values of input i for counting stimulus base + k with base
+// 64-aligned: bit i of (base + k) is periodic in k for i < 6 and constant
+// (= bit i of base) otherwise.
+constexpr std::uint64_t kCountingPattern[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+};
 
 }  // namespace
 
@@ -277,20 +270,28 @@ void clear_compile_cache() {
   c.misses = 0;
 }
 
-const char* to_string(SimEngine engine) {
-  return engine == SimEngine::Compiled ? "compiled" : "bitsliced";
-}
-
-SimEngine default_sim_engine() {
-  const int latched = g_engine.load(std::memory_order_relaxed);
-  if (latched >= 0) return static_cast<SimEngine>(latched);
-  const SimEngine engine = engine_from_env();
-  g_engine.store(static_cast<int>(engine), std::memory_order_relaxed);
-  return engine;
-}
-
-void set_default_sim_engine(SimEngine engine) {
-  g_engine.store(static_cast<int>(engine), std::memory_order_relaxed);
+void pack_counting_lanes(std::uint64_t base, unsigned num_inputs,
+                         unsigned lanes, std::span<std::uint64_t> words) {
+  require(num_inputs <= 64 && words.size() >= num_inputs,
+          "pack_counting_lanes: > 64 inputs or destination too small");
+  require(lanes >= 1 && lanes <= 64,
+          "pack_counting_lanes: lanes must be in [1, 64]");
+  if (base % 64 == 0) {
+    for (unsigned i = 0; i < num_inputs; ++i) {
+      words[i] = i < 6 ? kCountingPattern[i]
+                       : (bit_of(base, i) ? ~std::uint64_t{0} : 0);
+    }
+    return;
+  }
+  // Unaligned base (only the 1-lane scalar wrapper takes this path): pack
+  // lane by lane.
+  for (unsigned i = 0; i < num_inputs; ++i) words[i] = 0;
+  for (unsigned k = 0; k < lanes; ++k) {
+    const std::uint64_t word = base + k;
+    for (unsigned i = 0; i < num_inputs; ++i) {
+      words[i] |= static_cast<std::uint64_t>(bit_of(word, i)) << k;
+    }
+  }
 }
 
 }  // namespace axc::logic

@@ -18,10 +18,9 @@
 /// are identical in both framings — the byte-identical-response contract
 /// and the result-cache identity never see the request id.
 ///
-/// (A mux frame sent to a pre-PR 8 thread-per-connection server parses as
-/// a frame-overflow length and drops the connection with a typed
-/// transport/frame_overflow error: fail-fast, never silent corruption.
-/// Multiplexing is therefore opt-in on the client.)
+/// (A server that predates the extension reads a mux length word as a
+/// frame overflow and drops the connection — fail-fast, never silent
+/// corruption. Multiplexing is therefore opt-in on the client.)
 ///
 /// FrameAssembler is the incremental parser both the reactor's
 /// per-connection read state machine and the tests share: feed it bytes in

@@ -1,11 +1,9 @@
 /// \file reactor.hpp
-/// Event-driven TCP transport: one epoll reactor thread in front of the
-/// same bounded-queue job server every other transport feeds.
+/// The TCP server transport: one epoll reactor thread in front of the
+/// same bounded-queue job server the in-process loopback path feeds.
 ///
-/// The thread-per-connection transport (tcp.hpp) spends one OS thread per
-/// peer — fine for tens of clients, fatal for the ROADMAP's "millions of
-/// idle or slow clients". ReactorServer holds every connection on a single
-/// epoll loop instead:
+/// ReactorServer holds every connection on a single epoll loop, so the
+/// thread count does not grow with the number of peers:
 ///
 ///   epoll_wait ── listen fd readable ──> accept4(NONBLOCK) loop
 ///             ├── wake eventfd        ──> flush responses / shutdown
@@ -20,7 +18,7 @@
 /// response callback frames the payload, deposits it on the owning
 /// connection's outbox and signals the eventfd — multiplexed responses
 /// (request-id frames) ship as soon as they are done, while responses to
-/// legacy frames are released strictly in request order, so a pre-PR 8
+/// legacy frames are released strictly in request order, so a legacy
 /// client cannot observe the reordering. The Server, dispatcher, worker
 /// pool, result cache and overload ladder are untouched: the reactor is
 /// purely the I/O front end.
@@ -53,8 +51,8 @@ struct ReactorServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; the chosen port is readable via port().
   std::uint16_t port = 0;
-  /// Honour Endpoint::Shutdown frames from clients (off by default, same
-  /// policy as TcpServerOptions).
+  /// Honour Endpoint::Shutdown frames from clients. Off by default: a
+  /// remote peer must not be able to stop a server that didn't opt in.
   bool allow_remote_shutdown = false;
   /// listen(2) backlog.
   int backlog = 256;

@@ -10,6 +10,7 @@
 #include "axc/logic/adder_netlists.hpp"
 #include "axc/logic/mul_netlists.hpp"
 #include "axc/logic/simulator.hpp"
+#include "reference_sim.hpp"
 
 namespace axc::logic {
 namespace {
@@ -18,20 +19,23 @@ using arith::FullAdderKind;
 using arith::Mul2x2Kind;
 
 // ---------------------------------------------------------------------------
-// Equivalence harnesses.
+// Equivalence harnesses, against the per-gate reference simulator
+// (reference_sim.hpp).
 //
-// Exhaustive: counting-lane enumeration must reproduce Simulator::apply_word
-// on every input word (functional bit-exactness over the whole space).
+// Exhaustive: counting-lane enumeration through the facade, and the 1-lane
+// Simulator::apply_word wrapper, must reproduce the reference on every
+// input word (functional bit-exactness over the whole space).
 //
-// Randomized: a packed run of T stimulus words over 64 lanes must equal 64
-// independent scalar Simulators, lane k fed the bit-k stream — outputs per
-// lane per step, per-gate toggle totals, and switched energy all identical.
+// Randomized: a packed run of T stimulus words over 64 lanes must equal the
+// reference run with lane k fed the bit-k stream — outputs per lane per
+// step, per-gate toggle totals, and switched energy all identical.
 // ---------------------------------------------------------------------------
 
 void expect_exhaustive_equivalence(const Netlist& nl) {
   const unsigned n_in = static_cast<unsigned>(nl.inputs().size());
   ASSERT_LE(n_in, 20u) << nl.name() << ": too wide for exhaustive sweep";
   const std::uint64_t total = std::uint64_t{1} << n_in;
+  ReferenceSimulator oracle(nl, 1);
   Simulator scalar(nl);
   BitslicedSimulator packed(nl);
   for (std::uint64_t base = 0; base < total;
@@ -40,8 +44,11 @@ void expect_exhaustive_equivalence(const Netlist& nl) {
         std::min<std::uint64_t>(BitslicedSimulator::kLanes, total - base));
     packed.apply_word_range(base, lanes);
     for (unsigned k = 0; k < lanes; ++k) {
-      ASSERT_EQ(packed.lane_output(k), scalar.apply_word(base + k))
+      const std::uint64_t expected = oracle.apply_word(0, base + k);
+      ASSERT_EQ(packed.lane_output(k), expected)
           << nl.name() << ": word " << (base + k);
+      ASSERT_EQ(scalar.apply_word(base + k), expected)
+          << nl.name() << ": scalar word " << (base + k);
     }
   }
 }
@@ -53,56 +60,33 @@ void expect_random_stream_equivalence(const Netlist& nl, unsigned steps,
 
   // One packed stimulus word per input per step.
   Rng rng(seed);
-  std::vector<std::vector<std::uint64_t>> stimulus(steps);
-  for (auto& words : stimulus) {
-    words.resize(n_in);
-    for (auto& word : words) word = rng();
-  }
-
+  std::vector<std::uint64_t> stimulus(n_in);
   BitslicedSimulator packed(nl);
-  std::vector<std::vector<std::uint64_t>> packed_out(steps);
+  ReferenceSimulator oracle(nl, kLanes);
   for (unsigned t = 0; t < steps; ++t) {
-    const auto out = packed.apply_lanes(stimulus[t]);
-    packed_out[t].assign(out.begin(), out.end());
-  }
-
-  // Scalar reference: 64 independent simulators, one per lane.
-  std::vector<std::uint64_t> toggle_sum(nl.gate_count(), 0);
-  std::vector<unsigned> bits(n_in);
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    Simulator scalar(nl);
-    for (unsigned t = 0; t < steps; ++t) {
-      for (std::size_t i = 0; i < n_in; ++i) {
-        bits[i] = bit_of(stimulus[t][i], lane);
-      }
-      const std::vector<unsigned> out = scalar.apply(bits);
-      for (std::size_t j = 0; j < out.size(); ++j) {
-        ASSERT_EQ(out[j], bit_of(packed_out[t][j], lane))
-            << nl.name() << ": lane " << lane << " step " << t << " output "
-            << j;
-      }
-    }
-    for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-      toggle_sum[g] += scalar.gate_toggles(g);
+    for (auto& word : stimulus) word = rng();
+    const auto out = packed.apply_lanes(stimulus);
+    const std::vector<std::uint64_t> expected =
+        oracle.apply_packed(stimulus, kLanes);
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      ASSERT_EQ(out[j], expected[j])
+          << nl.name() << ": step " << t << " output " << j;
     }
   }
 
-  // Toggle counts must match gate for gate, and the energy computed from
-  // the summed counts (same accumulation order as the packed simulator)
-  // must match bit for bit.
-  double expected_energy = 0.0;
+  // Toggle counts must match gate for gate, and the energy (summed in
+  // gate order on both sides) must match bit for bit.
   for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-    EXPECT_EQ(packed.gate_toggles(g), toggle_sum[g])
+    EXPECT_EQ(packed.gate_toggles(g), oracle.gate_toggles(g))
         << nl.name() << ": gate " << g;
-    expected_energy += static_cast<double>(toggle_sum[g]) *
-                       cell_info(nl.gates()[g].type).energy_fj;
   }
-  EXPECT_DOUBLE_EQ(packed.switched_energy_fj(), expected_energy)
+  EXPECT_EQ(packed.switched_energy_fj(), oracle.switched_energy_fj())
       << nl.name();
   EXPECT_EQ(packed.vectors_applied(),
             static_cast<std::uint64_t>(steps) * kLanes);
   EXPECT_EQ(packed.transition_pairs(),
             static_cast<std::uint64_t>(steps - 1) * kLanes);
+  EXPECT_EQ(packed.transition_pairs(), oracle.transition_pairs());
 }
 
 // --- Adder netlist factories ----------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "axc/arith/multiplier.hpp"
 #include "axc/arith/wallace.hpp"
 #include "axc/logic/simulator.hpp"
@@ -69,15 +72,28 @@ TEST(Mul2x2Netlists, AreaRelationsMatchFig5Trends) {
 
 // Structural multiplier == behavioural ApproxMultiplier with the same
 // configuration, across widths / blocks / adder approximations.
+//
+// gtest prints the raw bytes of a parameter into the test name, so a case
+// holds no implicit padding and no pointer: the padding is a named, zeroed
+// member and the label is stored inline. The name is then the same in
+// every build and run.
 struct MulSpecCase {
-  MulNetlistSpec spec;
-  const char* label;
+  unsigned width;
+  Mul2x2Kind block;
+  FullAdderKind adder_cell;
+  std::uint8_t padding[2] = {};
+  unsigned approx_lsbs;
+  char label[12];
+
+  MulNetlistSpec spec() const {
+    return {width, block, adder_cell, approx_lsbs};
+  }
 };
 
 class MulNetlistEquivalence : public ::testing::TestWithParam<MulSpecCase> {};
 
 TEST_P(MulNetlistEquivalence, MatchesBehaviouralMultiplier) {
-  const MulNetlistSpec spec = GetParam().spec;
+  const MulNetlistSpec spec = GetParam().spec();
   arith::MultiplierConfig config;
   config.width = spec.width;
   config.block = spec.block;
@@ -103,16 +119,31 @@ TEST_P(MulNetlistEquivalence, MatchesBehaviouralMultiplier) {
 INSTANTIATE_TEST_SUITE_P(
     Specs, MulNetlistEquivalence,
     ::testing::Values(
-        MulSpecCase{{4, Mul2x2Kind::Accurate, FullAdderKind::Accurate, 0},
-                    "exact4"},
-        MulSpecCase{{4, Mul2x2Kind::SoA, FullAdderKind::Accurate, 0},
-                    "soa4"},
-        MulSpecCase{{4, Mul2x2Kind::Ours, FullAdderKind::Apx3, 2},
-                    "ours4apx"},
-        MulSpecCase{{8, Mul2x2Kind::Accurate, FullAdderKind::Accurate, 0},
-                    "exact8"},
-        MulSpecCase{{8, Mul2x2Kind::Ours, FullAdderKind::Apx2, 4},
-                    "ours8apx"}),
+        MulSpecCase{.width = 4,
+                    .block = Mul2x2Kind::Accurate,
+                    .adder_cell = FullAdderKind::Accurate,
+                    .approx_lsbs = 0,
+                    .label = "exact4"},
+        MulSpecCase{.width = 4,
+                    .block = Mul2x2Kind::SoA,
+                    .adder_cell = FullAdderKind::Accurate,
+                    .approx_lsbs = 0,
+                    .label = "soa4"},
+        MulSpecCase{.width = 4,
+                    .block = Mul2x2Kind::Ours,
+                    .adder_cell = FullAdderKind::Apx3,
+                    .approx_lsbs = 2,
+                    .label = "ours4apx"},
+        MulSpecCase{.width = 8,
+                    .block = Mul2x2Kind::Accurate,
+                    .adder_cell = FullAdderKind::Accurate,
+                    .approx_lsbs = 0,
+                    .label = "exact8"},
+        MulSpecCase{.width = 8,
+                    .block = Mul2x2Kind::Ours,
+                    .adder_cell = FullAdderKind::Apx2,
+                    .approx_lsbs = 4,
+                    .label = "ours8apx"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST(MulNetlists, ExactMultiplierIsCorrect4Bit) {
@@ -150,11 +181,13 @@ TEST(MulNetlists, ApproximationReducesArea) {
 
 // Wallace netlist == behavioural WallaceMultiplier, including with
 // approximate compressors (the dot diagrams must match bit-for-bit).
+// (No implicit padding and no pointer, as MulSpecCase.)
 struct WallaceCase {
   unsigned width;
   arith::FullAdderKind cell;
+  std::uint8_t padding[3] = {};
   unsigned approx_lsbs;
-  const char* label;
+  char label[12];
 };
 
 class WallaceNetlistEquivalence
@@ -180,11 +213,26 @@ TEST_P(WallaceNetlistEquivalence, MatchesBehaviouralWallace) {
 INSTANTIATE_TEST_SUITE_P(
     Specs, WallaceNetlistEquivalence,
     ::testing::Values(
-        WallaceCase{4, arith::FullAdderKind::Accurate, 0, "exact4"},
-        WallaceCase{4, arith::FullAdderKind::Apx3, 3, "apx3_4"},
-        WallaceCase{5, arith::FullAdderKind::Apx2, 4, "apx2_5"},
-        WallaceCase{8, arith::FullAdderKind::Accurate, 0, "exact8"},
-        WallaceCase{8, arith::FullAdderKind::Apx4, 6, "apx4_8"}),
+        WallaceCase{.width = 4,
+                    .cell = arith::FullAdderKind::Accurate,
+                    .approx_lsbs = 0,
+                    .label = "exact4"},
+        WallaceCase{.width = 4,
+                    .cell = arith::FullAdderKind::Apx3,
+                    .approx_lsbs = 3,
+                    .label = "apx3_4"},
+        WallaceCase{.width = 5,
+                    .cell = arith::FullAdderKind::Apx2,
+                    .approx_lsbs = 4,
+                    .label = "apx2_5"},
+        WallaceCase{.width = 8,
+                    .cell = arith::FullAdderKind::Accurate,
+                    .approx_lsbs = 0,
+                    .label = "exact8"},
+        WallaceCase{.width = 8,
+                    .cell = arith::FullAdderKind::Apx4,
+                    .approx_lsbs = 6,
+                    .label = "apx4_8"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 TEST(WallaceNetlist, ApproximationReducesArea) {

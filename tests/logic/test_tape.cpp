@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "axc/accel/sad_netlist.hpp"
+#include "axc/common/bits.hpp"
 #include "axc/common/rng.hpp"
 #include "axc/designspace/compressor_mul.hpp"
 #include "axc/logic/adder_netlists.hpp"
@@ -16,6 +18,7 @@
 #include "axc/logic/simulator.hpp"
 #include "axc/logic/tape_engine.hpp"
 #include "axc/obs/obs.hpp"
+#include "reference_sim.hpp"
 
 namespace axc::logic {
 namespace {
@@ -187,33 +190,40 @@ TEST(TapeCompile, CacheHitsMissesAndObsCounters) {
   EXPECT_EQ(first->ops.size(), nl.gate_count());
 }
 
-TEST(SimEngineApi, DefaultOverrideAndFacadeSelection) {
-  const SimEngine original = default_sim_engine();
-  const Netlist nl = full_adder_netlist(FullAdderKind::Accurate);
-
-  set_default_sim_engine(SimEngine::Bitsliced);
-  EXPECT_EQ(default_sim_engine(), SimEngine::Bitsliced);
-  EXPECT_EQ(BitslicedSimulator(nl).engine(), SimEngine::Bitsliced);
-
-  set_default_sim_engine(SimEngine::Compiled);
-  EXPECT_EQ(default_sim_engine(), SimEngine::Compiled);
-  EXPECT_EQ(BitslicedSimulator(nl).engine(), SimEngine::Compiled);
-
-  EXPECT_STREQ(to_string(SimEngine::Compiled), "compiled");
-  EXPECT_STREQ(to_string(SimEngine::Bitsliced), "bitsliced");
-  set_default_sim_engine(original);
-}
-
 // ---------------------------------------------------------------------------
 // Engine equivalence.
 //
-// For every netlist factory in the repo, four engines run the identical
-// randomized 64-lane stimulus: the interpreter facade (the committed
-// reference), the compiled facade, the standalone 64-lane tape engine, and
-// a 256-lane TapeSimulator<LaneBlock<4>> driven at 64 active lanes. All
-// observable state — outputs, per-gate toggles, transition pairs, switched
-// energy — must be byte-identical, not merely close.
+// For every netlist factory in the repo, three engines run the identical
+// randomized 64-lane stimulus: the BitslicedSimulator facade, the
+// standalone 64-lane tape engine, and a 256-lane
+// TapeSimulator<LaneBlock<4>> driven at 64 active lanes. Each is compared
+// with the per-gate reference simulator (reference_sim.hpp): outputs,
+// per-gate toggles, transition pairs and switched energy must be equal —
+// energy byte for byte, not merely close.
 // ---------------------------------------------------------------------------
+
+template <typename Engine>
+void expect_activity_matches(const ReferenceSimulator& oracle,
+                             const Engine& engine, const Netlist& nl,
+                             const std::string& what) {
+  for (std::size_t g = 0; g < nl.gate_count(); ++g) {
+    ASSERT_EQ(engine.gate_toggles(g), oracle.gate_toggles(g))
+        << nl.name() << ": " << what << " gate " << g;
+  }
+  EXPECT_EQ(engine.switched_energy_fj(), oracle.switched_energy_fj())
+      << nl.name() << ": " << what;
+  EXPECT_EQ(engine.vectors_applied(), oracle.vectors_applied())
+      << nl.name() << ": " << what;
+  EXPECT_EQ(engine.transition_pairs(), oracle.transition_pairs())
+      << nl.name() << ": " << what;
+}
+
+/// Puts 64-lane words into subword 0 of otherwise-zero 256-lane blocks.
+std::vector<LaneBlock<4>> widen(std::span<const std::uint64_t> words) {
+  std::vector<LaneBlock<4>> wide(words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) wide[i].w[0] = words[i];
+  return wide;
+}
 
 void expect_engines_agree(const Netlist& nl, unsigned steps,
                           std::uint64_t seed) {
@@ -226,49 +236,30 @@ void expect_engines_agree(const Netlist& nl, unsigned steps,
     for (auto& word : words) word = rng();
   }
 
-  BitslicedSimulator interp(nl, SimEngine::Bitsliced);
-  BitslicedSimulator compiled(nl, SimEngine::Compiled);
+  ReferenceSimulator oracle(nl, 64);
+  BitslicedSimulator facade(nl);
   TapeSimulator<> tape64(nl);
   TapeSimulator<LaneBlock<4>> wide(nl);
-  std::vector<LaneBlock<4>> wide_in(n_in);
 
   for (unsigned t = 0; t < steps; ++t) {
-    const auto a = interp.apply_lanes(stimulus[t]);
-    const auto b = compiled.apply_lanes(stimulus[t]);
+    const std::vector<std::uint64_t> expected =
+        oracle.apply_packed(stimulus[t], 64);
+    const auto a = facade.apply_lanes(stimulus[t]);
     const auto c = tape64.apply_lanes(stimulus[t]);
-    for (std::size_t i = 0; i < n_in; ++i) {
-      wide_in[i] = LaneBlock<4>{};
-      wide_in[i].w[0] = stimulus[t][i];
-    }
-    const auto d = wide.apply_lanes(wide_in, 64);
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      ASSERT_EQ(a[j], b[j]) << nl.name() << ": facade output " << j
-                            << " step " << t;
-      ASSERT_EQ(a[j], c[j]) << nl.name() << ": tape64 output " << j
-                            << " step " << t;
-      ASSERT_EQ(a[j], d[j].w[0]) << nl.name() << ": wide output " << j
-                                 << " step " << t;
+    const auto d = wide.apply_lanes(widen(stimulus[t]), 64);
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      ASSERT_EQ(a[j], expected[j]) << nl.name() << ": facade output " << j
+                                   << " step " << t;
+      ASSERT_EQ(c[j], expected[j]) << nl.name() << ": tape64 output " << j
+                                   << " step " << t;
+      ASSERT_EQ(d[j].w[0], expected[j]) << nl.name() << ": wide output "
+                                        << j << " step " << t;
     }
   }
 
-  for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-    ASSERT_EQ(interp.gate_toggles(g), compiled.gate_toggles(g))
-        << nl.name() << ": facade gate " << g;
-    ASSERT_EQ(interp.gate_toggles(g), tape64.gate_toggles(g))
-        << nl.name() << ": tape64 gate " << g;
-    ASSERT_EQ(interp.gate_toggles(g), wide.gate_toggles(g))
-        << nl.name() << ": wide gate " << g;
-  }
-  EXPECT_EQ(interp.switched_energy_fj(), compiled.switched_energy_fj())
-      << nl.name();
-  EXPECT_EQ(interp.switched_energy_fj(), tape64.switched_energy_fj())
-      << nl.name();
-  EXPECT_EQ(interp.switched_energy_fj(), wide.switched_energy_fj())
-      << nl.name();
-  EXPECT_EQ(interp.vectors_applied(), compiled.vectors_applied());
-  EXPECT_EQ(interp.transition_pairs(), compiled.transition_pairs());
-  EXPECT_EQ(interp.transition_pairs(), tape64.transition_pairs());
-  EXPECT_EQ(interp.transition_pairs(), wide.transition_pairs());
+  expect_activity_matches(oracle, facade, nl, "facade");
+  expect_activity_matches(oracle, tape64, nl, "tape64");
+  expect_activity_matches(oracle, wide, nl, "wide");
 }
 
 TEST(TapeEquivalence, AllAdderFactories) {
@@ -339,60 +330,75 @@ TEST(TapeEquivalence, ExhaustiveEnumerationMatchesScalarSimulator) {
   const Netlist nl = wallace_netlist(4, FullAdderKind::Apx3, 2);
   const unsigned n_in = static_cast<unsigned>(nl.inputs().size());
   const std::uint64_t total = std::uint64_t{1} << n_in;
-  Simulator scalar(nl, SimEngine::Bitsliced);
+  ReferenceSimulator oracle(nl, 1);
+  std::vector<std::uint64_t> expected(total);
+  for (std::uint64_t w = 0; w < total; ++w) {
+    expected[w] = oracle.apply_word(0, w);
+  }
+
+  Simulator scalar(nl);
+  for (std::uint64_t w = 0; w < total; ++w) {
+    ASSERT_EQ(scalar.apply_word(w), expected[w]) << "scalar word " << w;
+  }
+  BitslicedSimulator facade(nl);
   TapeSimulator<> tape64(nl);
-  TapeSimulator<LaneBlock<4>> wide(nl);
   for (std::uint64_t base = 0; base < total; base += 64) {
     const unsigned lanes =
         static_cast<unsigned>(std::min<std::uint64_t>(64, total - base));
+    facade.apply_word_range(base, lanes);
     tape64.apply_word_range(base, lanes);
     for (unsigned k = 0; k < lanes; ++k) {
-      ASSERT_EQ(tape64.lane_output(k), scalar.apply_word(base + k))
-          << "word " << (base + k);
+      ASSERT_EQ(facade.lane_output(k), expected[base + k])
+          << "facade word " << (base + k);
+      ASSERT_EQ(tape64.lane_output(k), expected[base + k])
+          << "tape64 word " << (base + k);
     }
   }
+  TapeSimulator<LaneBlock<4>> wide(nl);
   for (std::uint64_t base = 0; base < total; base += 256) {
     const unsigned lanes =
         static_cast<unsigned>(std::min<std::uint64_t>(256, total - base));
     wide.apply_word_range(base, lanes);
     for (unsigned k = 0; k < lanes; ++k) {
-      ASSERT_EQ(wide.lane_output(k), scalar.apply_word(base + k))
-          << "word " << (base + k);
+      ASSERT_EQ(wide.lane_output(k), expected[base + k])
+          << "wide word " << (base + k);
     }
   }
 }
 
-// The PR 3 lane-mask discipline, replayed through the compiled engines:
-// shrinking then growing the active lane set must keep outputs and toggle
-// accounting identical to the interpreter at every step.
+// The lane-mask discipline: shrinking then growing the active lane set
+// must keep outputs and toggle accounting equal to the reference at every
+// step, on every engine.
 TEST(TapeEquivalence, ShrinkThenGrowLaneReplay) {
   const Netlist nl = loa_adder_netlist(8, 4);
   const std::size_t n_in = nl.inputs().size();
-  BitslicedSimulator interp(nl, SimEngine::Bitsliced);
-  BitslicedSimulator compiled(nl, SimEngine::Compiled);
+  ReferenceSimulator oracle(nl, 64);
+  BitslicedSimulator facade(nl);
   TapeSimulator<> tape64(nl);
+  TapeSimulator<LaneBlock<4>> wide(nl);
 
   Rng rng(0x9106);
   std::vector<std::uint64_t> stimulus(n_in);
   for (const unsigned lanes : {64u, 17u, 64u, 5u, 33u, 64u, 1u, 64u}) {
     for (auto& word : stimulus) word = rng();
-    const auto a = interp.apply_lanes(stimulus, lanes);
-    const auto b = compiled.apply_lanes(stimulus, lanes);
+    const std::vector<std::uint64_t> expected =
+        oracle.apply_packed(stimulus, lanes);
+    const std::uint64_t live = low_mask(lanes);
+    const auto a = facade.apply_lanes(stimulus, lanes);
     const auto c = tape64.apply_lanes(stimulus, lanes);
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      ASSERT_EQ(a[j], b[j]) << "lanes " << lanes << " output " << j;
-      ASSERT_EQ(a[j], c[j]) << "lanes " << lanes << " output " << j;
+    const auto d = wide.apply_lanes(widen(stimulus), lanes);
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      ASSERT_EQ(a[j] & live, expected[j]) << "lanes " << lanes << " output "
+                                          << j;
+      ASSERT_EQ(c[j] & live, expected[j]) << "lanes " << lanes << " output "
+                                          << j;
+      ASSERT_EQ(d[j].w[0] & live, expected[j])
+          << "lanes " << lanes << " output " << j;
     }
   }
-  for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-    ASSERT_EQ(interp.gate_toggles(g), compiled.gate_toggles(g)) << g;
-    ASSERT_EQ(interp.gate_toggles(g), tape64.gate_toggles(g)) << g;
-  }
-  EXPECT_EQ(interp.switched_energy_fj(), compiled.switched_energy_fj());
-  EXPECT_EQ(interp.switched_energy_fj(), tape64.switched_energy_fj());
-  EXPECT_EQ(interp.vectors_applied(), compiled.vectors_applied());
-  EXPECT_EQ(interp.transition_pairs(), compiled.transition_pairs());
-  EXPECT_EQ(interp.transition_pairs(), tape64.transition_pairs());
+  expect_activity_matches(oracle, facade, nl, "facade");
+  expect_activity_matches(oracle, tape64, nl, "tape64");
+  expect_activity_matches(oracle, wide, nl, "wide");
 }
 
 // ---------------------------------------------------------------------------
@@ -460,8 +466,8 @@ TEST(TapeSimulatorApi, FunctionalModeMatchesCountedOutputs) {
 }
 
 // Wide lanes are a different temporal pairing of the same per-lane streams:
-// a 256-lane counted run over S steps must toggle exactly as much, gate for
-// gate, as four 64-lane interpreter runs each carrying one subword group.
+// a 256-lane counted run over S steps must match a 256-lane reference run,
+// output for output and toggle for toggle.
 TEST(TapeSimulatorApi, WideLanePartitionKeepsTogglesExact) {
   const arith::RippleAdder model =
       arith::RippleAdder::lsb_approximated(16, FullAdderKind::Accurate, 0);
@@ -480,27 +486,22 @@ TEST(TapeSimulatorApi, WideLanePartitionKeepsTogglesExact) {
   std::vector<LaneBlock<4>> outputs(steps * n_out);
   wide.run_stream(stimulus, outputs);
 
-  std::vector<std::uint64_t> group_toggles(nl.gate_count(), 0);
+  ReferenceSimulator oracle(nl, 256);
   std::vector<std::uint64_t> in(n_in);
-  for (unsigned grp = 0; grp < 4; ++grp) {
-    BitslicedSimulator interp(nl, SimEngine::Bitsliced);
-    for (unsigned t = 0; t < steps; ++t) {
+  for (unsigned t = 0; t < steps; ++t) {
+    for (unsigned grp = 0; grp < 4; ++grp) {
       for (std::size_t i = 0; i < n_in; ++i) {
         in[i] = stimulus[t * n_in + i].w[grp];
       }
-      const auto out = interp.apply_lanes(in);
+      const std::vector<std::uint64_t> expected =
+          oracle.apply_packed(in, 64, 64 * grp);
       for (std::size_t j = 0; j < n_out; ++j) {
-        ASSERT_EQ(out[j], outputs[t * n_out + j].w[grp])
+        ASSERT_EQ(outputs[t * n_out + j].w[grp], expected[j])
             << "group " << grp << " step " << t << " output " << j;
       }
     }
-    for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-      group_toggles[g] += interp.gate_toggles(g);
-    }
   }
-  for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-    ASSERT_EQ(wide.gate_toggles(g), group_toggles[g]) << "gate " << g;
-  }
+  expect_activity_matches(oracle, wide, nl, "wide run_stream");
 }
 
 }  // namespace

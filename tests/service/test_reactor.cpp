@@ -628,20 +628,5 @@ TEST(Reactor, DrainDeliversDepositedResponsesDespitePartialTrailingFrame) {
   server.stop();
 }
 
-TEST(Reactor, MuxClientAgainstThreadedServerFailsFast) {
-  // The compatibility story in the other direction: a mux frame sent to a
-  // pre-PR 8 thread-per-connection server must die with a typed error,
-  // never a silently wrong answer.
-  Server server({.workers = 1});
-  TcpServer threaded(server, {});
-  TcpConnection mux("127.0.0.1", threaded.port(), {.multiplex = true});
-
-  const std::uint32_t id = mux.submit(adder_request(2));
-  EXPECT_THROW(mux.collect(id), TransportError);
-
-  threaded.stop();
-  server.stop();
-}
-
 }  // namespace
 }  // namespace axc::service

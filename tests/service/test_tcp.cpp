@@ -1,3 +1,5 @@
+/// TCP transport tests: TcpConnection clients, legacy (non-mux) frames,
+/// against the ReactorServer.
 #include "axc/service/tcp.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "axc/obs/obs.hpp"
+#include "axc/service/reactor.hpp"
 #include "axc/service/transport.hpp"
 
 namespace axc::service {
@@ -21,10 +24,10 @@ std::uint64_t counter_value(const std::string& name) {
 
 TEST(Tcp, AllEndpointsRoundTripOverSockets) {
   Server server({.workers = 2});
-  TcpServer tcp(server, {});  // loopback, ephemeral port
-  ASSERT_NE(tcp.port(), 0);
+  ReactorServer reactor(server, {});  // loopback, ephemeral port
+  ASSERT_NE(reactor.port(), 0);
 
-  TcpConnection connection("127.0.0.1", tcp.port());
+  TcpConnection connection("127.0.0.1", reactor.port());
   Client client(connection);
 
   EXPECT_NO_THROW(client.ping());
@@ -52,15 +55,15 @@ TEST(Tcp, AllEndpointsRoundTripOverSockets) {
   probe.frames = 2;
   EXPECT_GT(client.encode_probe(probe).total_bits, 0u);
 
-  tcp.stop();
-  EXPECT_TRUE(tcp.stopped());
+  reactor.stop();
+  EXPECT_TRUE(reactor.stopped());
   server.stop();
 }
 
 TEST(Tcp, TcpResponseMatchesLoopbackByteForByte) {
   Server server({.workers = 2});
-  TcpServer tcp(server, {});
-  TcpConnection socket("127.0.0.1", tcp.port());
+  ReactorServer reactor(server, {});
+  TcpConnection socket("127.0.0.1", reactor.port());
   LoopbackConnection loopback(server);
 
   const Bytes request =
@@ -70,14 +73,14 @@ TEST(Tcp, TcpResponseMatchesLoopbackByteForByte) {
   const Bytes over_loopback = loopback.roundtrip(request);
   EXPECT_EQ(over_socket, over_loopback);
 
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST(Tcp, RemoteShutdownIsRejectedUnlessEnabled) {
   Server server({.workers = 1});
-  TcpServer tcp(server, {});  // allow_remote_shutdown defaults to false
-  TcpConnection connection("127.0.0.1", tcp.port());
+  ReactorServer reactor(server, {});  // remote shutdown off by default
+  TcpConnection connection("127.0.0.1", reactor.port());
   Client client(connection);
 
   try {
@@ -87,37 +90,37 @@ TEST(Tcp, RemoteShutdownIsRejectedUnlessEnabled) {
     EXPECT_EQ(e.status(), Status::BadRequest);
   }
   // The refusal must not have stopped the transport.
-  EXPECT_FALSE(tcp.stopped());
+  EXPECT_FALSE(reactor.stopped());
   EXPECT_NO_THROW(client.ping());
 
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST(Tcp, RemoteShutdownDrainsWhenEnabled) {
   Server server({.workers = 2});
-  TcpServer tcp(server, {.allow_remote_shutdown = true});
+  ReactorServer reactor(server, {.allow_remote_shutdown = true});
 
   {
-    TcpConnection connection("127.0.0.1", tcp.port());
+    TcpConnection connection("127.0.0.1", reactor.port());
     Client client(connection);
     EXPECT_NO_THROW(client.ping());
     EXPECT_NO_THROW(client.shutdown());  // acknowledged before the stop
   }
-  tcp.wait();
-  EXPECT_TRUE(tcp.stopped());
+  reactor.wait();
+  EXPECT_TRUE(reactor.stopped());
   server.stop();
 }
 
 TEST(Tcp, ConcurrentConnectionsEachGetTheirOwnAnswers) {
   Server server({.workers = 4});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
 
   std::vector<std::thread> clients;
   std::vector<std::uint64_t> gates(4, 0);
   for (int t = 0; t < 4; ++t) {
-    clients.emplace_back([&tcp, &gates, t] {
-      TcpConnection connection("127.0.0.1", tcp.port());
+    clients.emplace_back([&reactor, &gates, t] {
+      TcpConnection connection("127.0.0.1", reactor.port());
       Client client(connection);
       for (int i = 0; i < 5; ++i) {
         CharacterizeAdderRequest req;
@@ -136,32 +139,35 @@ TEST(Tcp, ConcurrentConnectionsEachGetTheirOwnAnswers) {
   for (int t = 1; t < 4; ++t) {
     EXPECT_NE(gates[static_cast<std::size_t>(t)], gates[0]);
   }
-  tcp.stop();
+  reactor.stop();
   server.stop();
 }
 
 TEST(Tcp, IdleAcceptorTakesZeroWakeups) {
-  // The acceptor polls with no timeout and an eventfd for stop signals:
-  // an idle server must take exactly zero wakeups over an idle window
-  // (the pre-PR 8 loop woke every 100 ms), and shutdown must still be
-  // immediate. Counter deltas, not timing asserts: robust on loaded CI.
+  // The reactor thread is also the acceptor. It blocks in epoll_wait with
+  // no timeout and an eventfd for stop signals, so an idle reactor must
+  // take exactly zero service.reactor.epoll_wakeups over an idle window,
+  // and shutdown must still be immediate. Counter deltas, not timing
+  // asserts: robust on loaded CI.
+  obs::set_enabled(true);
   Server server({.workers = 1});
-  TcpServer tcp(server, {});
+  ReactorServer reactor(server, {});
   {
-    TcpConnection connection("127.0.0.1", tcp.port());
+    TcpConnection connection("127.0.0.1", reactor.port());
     Client client(connection);
-    client.ping();  // prove the acceptor is alive first
+    client.ping();  // prove the reactor is alive first
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const std::uint64_t wakeups_before =
-      counter_value("service.tcp.acceptor_wakeups");
+      counter_value("service.reactor.epoll_wakeups");
+  EXPECT_GT(wakeups_before, 0u);  // the ping itself woke the reactor
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(counter_value("service.tcp.acceptor_wakeups"), wakeups_before);
+  EXPECT_EQ(counter_value("service.reactor.epoll_wakeups"), wakeups_before);
 
   const auto stop_started = std::chrono::steady_clock::now();
-  tcp.stop();
+  reactor.stop();
   const auto stop_took = std::chrono::steady_clock::now() - stop_started;
-  EXPECT_TRUE(tcp.stopped());
+  EXPECT_TRUE(reactor.stopped());
   // Generous bound: the point is "eventfd wakeup", not "poll interval".
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stop_took)
                 .count(),
@@ -173,9 +179,9 @@ TEST(Tcp, ConnectToClosedPortThrows) {
   std::uint16_t dead_port = 0;
   {
     Server server({.workers = 1});
-    TcpServer tcp(server, {});
-    dead_port = tcp.port();
-    tcp.stop();
+    ReactorServer reactor(server, {});
+    dead_port = reactor.port();
+    reactor.stop();
     server.stop();
   }
   EXPECT_THROW(TcpConnection("127.0.0.1", dead_port), std::runtime_error);
